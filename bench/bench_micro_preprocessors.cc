@@ -4,17 +4,23 @@
 /// decomposition.
 ///
 /// `--json [path]` switches to the kernel roofline report instead: each
-/// preprocessor's TransformInPlace timed as scalar row-major (the
-/// pre-kernel-layer reference), SIMD row-major, and SIMD col-major, with
-/// rows/s, GB/s and speedups. scripts/bench_snapshot.sh commits it as
-/// BENCH_kernels.json.
+/// preprocessor's Fit time, and its TransformInPlace timed as scalar
+/// row-major (the pre-kernel-layer reference), SIMD row-major, and SIMD
+/// col-major, with rows/s, GB/s and speedups, under a host stamp (nproc,
+/// SIMD backend, compiler, build type, commit). scripts/bench_snapshot.sh
+/// commits it as BENCH_kernels.json.
 
 #include <benchmark/benchmark.h>
 
+#include <stdio.h>
+
 #include <algorithm>
+#include <cctype>
 #include <chrono>
 #include <cstdio>
+#include <memory>
 #include <string>
+#include <thread>
 
 #include "core/auto_fp.h"
 #include "util/simd.h"
@@ -184,29 +190,79 @@ BENCHMARK(BM_SpaceMutation);
 
 // --- Kernel roofline report (--json) ----------------------------------------
 
+/// Best-of-N wall time of `body()`, in nanoseconds. `refresh()` runs
+/// before each repetition, outside the timed region.
+template <typename Refresh, typename Body>
+double BestOfNs(Refresh refresh, Body body) {
+  constexpr int kReps = 9;  // 1 warmup + best of 8
+  double best = 0.0;
+  for (int rep = 0; rep < kReps; ++rep) {
+    refresh();
+    const auto start = std::chrono::steady_clock::now();
+    body();
+    const auto stop = std::chrono::steady_clock::now();
+    const double ns =
+        std::chrono::duration<double, std::nano>(stop - start).count();
+    if (rep == 0) continue;
+    if (best == 0.0 || ns < best) best = ns;
+  }
+  return best;
+}
+
 /// Best-of-N wall time of one TransformInPlace over `source` staged in
 /// `layout`, in nanoseconds. The refresh copy is outside the timed
 /// region, so the number is the kernel alone.
 double TimeTransformNs(const Preprocessor& step, const Matrix& source,
                        Matrix::Layout layout, bool force_scalar) {
-  constexpr int kReps = 9;  // 1 warmup + best of 8
   Matrix staged;
   staged.AssignWithLayout(source, layout);
   Matrix buffer;
   simd::ScopedForceScalar forced(force_scalar);
-  double best = 0.0;
-  for (int rep = 0; rep < kReps; ++rep) {
-    buffer = staged;
-    const auto start = std::chrono::steady_clock::now();
-    step.TransformInPlace(buffer);
-    const auto stop = std::chrono::steady_clock::now();
-    const double ns =
-        std::chrono::duration<double, std::nano>(stop - start).count();
-    benchmark::DoNotOptimize(buffer);
-    if (rep == 0) continue;
-    if (best == 0.0 || ns < best) best = ns;
+  return BestOfNs([&] { buffer = staged; },
+                  [&] {
+                    step.TransformInPlace(buffer);
+                    benchmark::DoNotOptimize(buffer);
+                  });
+}
+
+/// Best-of-N wall time of one Fit of a fresh `kind` preprocessor on
+/// `source` (row-major, default backend), in nanoseconds. Search is
+/// fit-bound: every evaluation fits each step of its pipeline on the
+/// training split, and most transforms are cheap next to their fit.
+double TimeFitNs(PreprocessorKind kind, const Matrix& source) {
+  std::unique_ptr<Preprocessor> step;
+  return BestOfNs([&] { step = MakePreprocessor(kind); },
+                  [&] {
+                    step->Fit(source);
+                    benchmark::DoNotOptimize(step);
+                  });
+}
+
+/// The commit of the source tree the bench was built from, with
+/// "+dirty" when tracked files differ from it; "unknown" outside git.
+std::string SourceCommit() {
+  const std::string git = "git -C '" AUTOFP_BENCH_SOURCE_DIR "' ";
+  auto run = [](const std::string& command) {
+    std::string output;
+    if (std::FILE* pipe = ::popen((command + " 2>/dev/null").c_str(), "r")) {
+      char buffer[256];
+      while (std::fgets(buffer, sizeof(buffer), pipe) != nullptr) {
+        output += buffer;
+      }
+      ::pclose(pipe);
+    }
+    while (!output.empty() && std::isspace(static_cast<unsigned char>(
+                                  output.back()))) {
+      output.pop_back();
+    }
+    return output;
+  };
+  std::string commit = run(git + "rev-parse HEAD");
+  if (commit.empty()) return "unknown";
+  if (!run(git + "status --porcelain --untracked-files=no").empty()) {
+    commit += "+dirty";
   }
-  return best;
+  return commit;
 }
 
 int RunRooflineReport(const char* path) {
@@ -220,6 +276,13 @@ int RunRooflineReport(const char* path) {
     return 1;
   }
   std::fprintf(out, "{\n");
+  std::fprintf(out,
+               "  \"host\": {\"nproc\": %u, \"simd\": \"%s\", "
+               "\"compiler\": \"%s\", \"build_type\": \"%s\", "
+               "\"commit\": \"%s\"},\n",
+               std::thread::hardware_concurrency(), simd::kBackendName,
+               AUTOFP_BENCH_COMPILER, AUTOFP_BENCH_BUILD_TYPE,
+               SourceCommit().c_str());
   std::fprintf(out, "  \"backend\": \"%s\",\n", simd::kBackendName);
   std::fprintf(out, "  \"double_lanes\": %zu,\n", simd::kDoubleLanes);
   std::fprintf(out, "  \"rows\": %zu,\n", kRooflineRows);
@@ -234,6 +297,7 @@ int RunRooflineReport(const char* path) {
       sizeof(double);
   for (size_t i = 0; i < kinds.size(); ++i) {
     const PreprocessorKind kind = kinds[i];
+    const double fit_ns = TimeFitNs(kind, data);
     auto step = MakePreprocessor(kind);
     step->Fit(data);
     const double scalar_ns =
@@ -245,11 +309,12 @@ int RunRooflineReport(const char* path) {
     const double best_ns = std::min(simd_row_ns, simd_col_ns);
     std::fprintf(
         out,
-        "    {\"kernel\": \"%s\", \"scalar_row_major_ns\": %.0f, "
+        "    {\"kernel\": \"%s\", \"fit_ns\": %.0f, "
+        "\"scalar_row_major_ns\": %.0f, "
         "\"simd_row_major_ns\": %.0f, \"simd_col_major_ns\": %.0f, "
         "\"rows_per_s\": %.0f, \"gb_per_s\": %.2f, "
         "\"speedup_simd_row\": %.2f, \"speedup_simd_col\": %.2f}%s\n",
-        KindName(kind).c_str(), scalar_ns, simd_row_ns, simd_col_ns,
+        KindName(kind).c_str(), fit_ns, scalar_ns, simd_row_ns, simd_col_ns,
         static_cast<double>(kRooflineRows) * 1e9 / best_ns,
         bytes_per_pass / best_ns,  // bytes/ns == GB/s
         scalar_ns / simd_row_ns, scalar_ns / simd_col_ns,

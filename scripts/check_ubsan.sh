@@ -2,10 +2,12 @@
 # Builds with -fsanitize=undefined and runs the kernel-layer suites:
 # the SIMD wrapper primitives, the layout-aware preprocessor kernels,
 # the matrix layout/view machinery, and the pipeline data plane built
-# on them. UBSan is the check that the vectorized remainder handling,
-# the branchless table lookups (index arithmetic, gathers) and the
-# borrowed-view aliasing never rely on undefined behavior — misaligned
-# casts, signed overflow, out-of-range shifts.
+# on them, including the PowerTransformer and QuantileTransformer unit
+# suites (the fit's hoisted-logarithm lambda search and the quantile
+# lookup tables). UBSan is the check that the vectorized remainder
+# handling, the branchless table lookups (index arithmetic, gathers) and
+# the borrowed-view aliasing never rely on undefined behavior —
+# misaligned casts, signed overflow, out-of-range shifts.
 #
 # Usage: scripts/check_ubsan.sh [ctest-regex]
 #   ctest-regex  optional test-name filter; defaults to the kernel
@@ -14,7 +16,7 @@ set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 build_dir="${repo_root}/build-ubsan"
-filter="${1:-Simd|Kernels|Matrix|InPlace|Pipeline|Preprocessor}"
+filter="${1:-Simd|Kernels|Matrix|InPlace|Pipeline|Preprocessor|PowerTransformer|QuantileTransformer}"
 
 cmake -B "${build_dir}" -S "${repo_root}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \

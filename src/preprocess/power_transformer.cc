@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "util/stats.h"
 
@@ -47,36 +48,47 @@ double GoldenSectionMaximize(F f, double lo, double hi, int iterations) {
   return (a + b) / 2.0;
 }
 
-}  // namespace
-
-double PowerTransformer::YeoJohnson(double x, double lambda) {
-  if (x >= 0.0) {
-    if (std::abs(lambda) < kLambdaEps) {
-      return std::log1p(x);
-    }
-    // ((x+1)^lambda - 1) / lambda, computed via expm1 for stability.
-    return ClampFinite(std::expm1(lambda * std::log1p(x)) / lambda);
-  }
-  double two_minus = 2.0 - lambda;
-  if (std::abs(two_minus) < kLambdaEps) {
-    return -std::log1p(-x);
-  }
-  // -(((1-x)^(2-lambda)) - 1) / (2-lambda).
-  return ClampFinite(-std::expm1(two_minus * std::log1p(-x)) / two_minus);
+/// The Yeo-Johnson transform of x, given `log` = log1p(x) when
+/// `nonnegative` (x >= 0) and log1p(-x) otherwise: the one definition of
+/// the transform. The logarithm does not depend on lambda, so the fit
+/// computes it once per element and reuses it for every lambda it tries.
+inline double YeoJohnsonFromLog(bool nonnegative, double log, double lambda) {
+  // x >= 0: ((x+1)^lambda - 1) / lambda;
+  // x < 0: -((1-x)^(2-lambda) - 1) / (2-lambda); both via expm1 for
+  // stability, with the log branch at power 0.
+  const double power = nonnegative ? lambda : 2.0 - lambda;
+  if (std::abs(power) < kLambdaEps) return nonnegative ? log : -log;
+  const double scaled = std::expm1(power * log) / power;
+  return ClampFinite(nonnegative ? scaled : -scaled);
 }
 
-namespace {
+/// Fills `logs` with each element's lambda-independent logarithm, exactly
+/// the argument YeoJohnson passes to the transform (log1p(-0.0) is -0.0,
+/// so this is not log1p(|x|)), and returns the Jacobian sum of
+/// sign(x) * log(|x|+1) over the column.
+double ComputeLogs(const std::vector<double>& column,
+                   std::vector<double>& logs) {
+  logs.resize(column.size());
+  double jacobian = 0.0;
+  for (size_t i = 0; i < column.size(); ++i) {
+    const double x = column[i];
+    logs[i] = x >= 0.0 ? std::log1p(x) : std::log1p(-x);
+    jacobian += std::copysign(logs[i], x);
+  }
+  return jacobian;
+}
 
-/// Log-likelihood given the precomputed (lambda-independent) Jacobian sum
-/// of sign(x) * log(|x|+1) over the column.
-double LogLikelihoodWithJacobian(const std::vector<double>& column,
-                                 double lambda, double jacobian) {
+/// Log-likelihood of lambda given the column's precomputed logarithms and
+/// Jacobian sum (see ComputeLogs).
+double LogLikelihoodFromLogs(const std::vector<double>& column,
+                             const std::vector<double>& logs, double lambda,
+                             double jacobian) {
   const double n = static_cast<double>(column.size());
   if (column.empty()) return 0.0;
   // Single-pass variance of the transformed column.
   double sum = 0.0, sum_sq = 0.0;
-  for (double x : column) {
-    double t = PowerTransformer::YeoJohnson(x, lambda);
+  for (size_t i = 0; i < column.size(); ++i) {
+    double t = YeoJohnsonFromLog(column[i] >= 0.0, logs[i], lambda);
     sum += t;
     sum_sq += t * t;
   }
@@ -87,19 +99,19 @@ double LogLikelihoodWithJacobian(const std::vector<double>& column,
   return -0.5 * n * std::log(variance) + (lambda - 1.0) * jacobian;
 }
 
-double JacobianSum(const std::vector<double>& column) {
-  double jacobian = 0.0;
-  for (double x : column) {
-    jacobian += std::copysign(std::log1p(std::abs(x)), x);
-  }
-  return jacobian;
-}
-
 }  // namespace
+
+double PowerTransformer::YeoJohnson(double x, double lambda) {
+  const bool nonnegative = x >= 0.0;
+  return YeoJohnsonFromLog(
+      nonnegative, nonnegative ? std::log1p(x) : std::log1p(-x), lambda);
+}
 
 double PowerTransformer::LogLikelihood(const std::vector<double>& column,
                                        double lambda) {
-  return LogLikelihoodWithJacobian(column, lambda, JacobianSum(column));
+  std::vector<double> logs;
+  const double jacobian = ComputeLogs(column, logs);
+  return LogLikelihoodFromLogs(column, logs, lambda, jacobian);
 }
 
 void PowerTransformer::Fit(const Matrix& data) {
@@ -108,6 +120,7 @@ void PowerTransformer::Fit(const Matrix& data) {
   lambdas_.assign(cols, 1.0);
   means_.assign(cols, 0.0);
   stddevs_.assign(cols, 1.0);
+  std::vector<double> logs;
   for (size_t c = 0; c < cols; ++c) {
     std::vector<double> column = data.Column(c);
     // Constant columns: identity lambda, no standardization scaling.
@@ -118,17 +131,17 @@ void PowerTransformer::Fit(const Matrix& data) {
       stddevs_[c] = 1.0;
       continue;
     }
-    const double jacobian = JacobianSum(column);
-    auto objective = [&column, jacobian](double lambda) {
-      return LogLikelihoodWithJacobian(column, lambda, jacobian);
+    const double jacobian = ComputeLogs(column, logs);
+    auto objective = [&column, &logs, jacobian](double lambda) {
+      return LogLikelihoodFromLogs(column, logs, lambda, jacobian);
     };
     lambdas_[c] = GoldenSectionMaximize(objective, -4.0, 6.0, 30);
     if (config_.standardize) {
-      std::vector<double> transformed(column.size());
+      // The transformed column reuses `column`'s storage.
       for (size_t i = 0; i < column.size(); ++i) {
-        transformed[i] = YeoJohnson(column[i], lambdas_[c]);
+        column[i] = YeoJohnsonFromLog(column[i] >= 0.0, logs[i], lambdas_[c]);
       }
-      MeanStd stats = ComputeMeanStd(transformed);
+      MeanStd stats = ComputeMeanStd(column);
       means_[c] = stats.mean;
       stddevs_[c] = stats.stddev > 0.0 ? stats.stddev : 1.0;
     }
@@ -151,11 +164,18 @@ void PowerTransformer::SaveState(std::ostream& out) const {
 }
 
 Status PowerTransformer::LoadState(std::istream& in) {
-  if (!ReadVec(in, &lambdas_) || !ReadVec(in, &means_) ||
-      !ReadVec(in, &stddevs_) || means_.size() != stddevs_.size() ||
-      (config_.standardize && means_.size() != lambdas_.size())) {
+  // Fit writes one lambda, mean and stddev per column, and the transform
+  // kernel reads all three for every column whether or not it
+  // standardizes, so the sizes must agree in both modes.
+  std::vector<double> lambdas, means, stddevs;
+  if (!ReadVec(in, &lambdas) || !ReadVec(in, &means) ||
+      !ReadVec(in, &stddevs) || means.size() != lambdas.size() ||
+      stddevs.size() != lambdas.size()) {
     return Status::InvalidArgument("PowerTransformer: malformed state blob");
   }
+  lambdas_ = std::move(lambdas);
+  means_ = std::move(means);
+  stddevs_ = std::move(stddevs);
   fitted_ = true;
   return Status::OK();
 }

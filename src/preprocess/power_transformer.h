@@ -34,7 +34,9 @@ class PowerTransformer : public Preprocessor {
   /// The Yeo-Johnson transform of a single value (exposed for tests).
   static double YeoJohnson(double x, double lambda);
 
-  /// Log-likelihood of lambda for a feature column (exposed for tests).
+  /// Log-likelihood of lambda for a feature column (exposed for tests),
+  /// computed by the same objective as Fit's lambda search, which takes
+  /// each element's lambda-independent logarithm once per column.
   static double LogLikelihood(const std::vector<double>& column,
                               double lambda);
 

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "util/stats.h"
 
@@ -62,19 +63,27 @@ void QuantileTransformer::SaveState(std::ostream& out) const {
 }
 
 Status QuantileTransformer::LoadState(std::istream& in) {
+  // Every table must look like one Fit or FitFromReferences produces:
+  // exactly `effective` (>= 2) sorted entries. The transform indexes
+  // refs[0] and refs[n - 1] and bisects the table, which an empty, short
+  // or unsorted table would break.
+  const Status malformed =
+      Status::InvalidArgument("QuantileTransformer: malformed state blob");
   int32_t effective = 0;
   uint64_t columns = 0;
   if (!ReadPod(in, &effective) || effective < 2 || !ReadPod(in, &columns) ||
       columns > kMaxSerializedElements) {
-    return Status::InvalidArgument("QuantileTransformer: malformed state blob");
+    return malformed;
   }
-  references_.assign(columns, {});
-  for (std::vector<double>& column : references_) {
-    if (!ReadVec(in, &column)) {
-      return Status::InvalidArgument(
-          "QuantileTransformer: malformed state blob");
+  std::vector<std::vector<double>> references(columns);
+  for (std::vector<double>& table : references) {
+    if (!ReadVec(in, &table) ||
+        table.size() != static_cast<size_t>(effective) ||
+        !std::is_sorted(table.begin(), table.end())) {
+      return malformed;
     }
   }
+  references_ = std::move(references);
   effective_quantiles_ = effective;
   fitted_ = true;
   return Status::OK();

@@ -7,27 +7,20 @@
 namespace autofp {
 namespace simd {
 
+namespace internal {
+constinit std::atomic<bool> force_scalar{false};
+}  // namespace internal
+
 namespace {
 
-/// Relaxed is enough: the flag is a test/bench toggle flipped while no
-/// kernels run concurrently; production never touches it.
-std::atomic<bool>& ForceScalarFlag() {
-  static std::atomic<bool> flag = [] {
-    const char* env = std::getenv("AUTOFP_FORCE_SCALAR");
-    return env != nullptr && std::strcmp(env, "0") != 0;
-  }();
-  return flag;
-}
+/// Applies AUTOFP_FORCE_SCALAR (any value but "0") once, before main.
+[[maybe_unused]] const bool kForceScalarFromEnvironment = [] {
+  const char* env = std::getenv("AUTOFP_FORCE_SCALAR");
+  if (env != nullptr && std::strcmp(env, "0") != 0) SetForceScalar(true);
+  return true;
+}();
 
 }  // namespace
-
-bool ForceScalarEnabled() {
-  return ForceScalarFlag().load(std::memory_order_relaxed);
-}
-
-void SetForceScalar(bool force) {
-  ForceScalarFlag().store(force, std::memory_order_relaxed);
-}
 
 }  // namespace simd
 }  // namespace autofp

@@ -23,6 +23,7 @@
 /// Loads and stores are unaligned-safe; Matrix storage is 64-byte
 /// aligned (util/aligned.h) purely as a performance property.
 
+#include <atomic>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -57,8 +58,23 @@ inline constexpr const char* kBackendName = "scalar";
 /// path even in a SIMD build. Used by the property tests to compare both
 /// paths inside one binary and by the micro-bench roofline report to
 /// measure the scalar baseline. Not for production call sites.
-bool ForceScalarEnabled();
-void SetForceScalar(bool force);
+///
+/// The check sits on the hot path (Dot/Axpy run millions of times per
+/// search), so it is an inlined relaxed load of a constant-initialised
+/// flag: no call and no static-initialisation guard. Relaxed is enough:
+/// the flag is a test/bench toggle flipped while no kernels run
+/// concurrently. simd.cc applies the AUTOFP_FORCE_SCALAR environment
+/// variable during static initialisation, before main.
+namespace internal {
+extern constinit std::atomic<bool> force_scalar;
+}  // namespace internal
+
+inline bool ForceScalarEnabled() {
+  return internal::force_scalar.load(std::memory_order_relaxed);
+}
+inline void SetForceScalar(bool force) {
+  internal::force_scalar.store(force, std::memory_order_relaxed);
+}
 
 /// RAII form for tests.
 class ScopedForceScalar {
@@ -439,8 +455,9 @@ inline double DotScalar(const double* a, const double* b, size_t n) {
 inline double Dot(const double* a, const double* b, size_t n) {
   if (VecD::kLanes == 1 || ForceScalarEnabled()) return DotScalar(a, b, n);
   VecD acc = VecD::Zero();
+  const size_t vector_end = n - n % VecD::kLanes;
   size_t i = 0;
-  for (; i + VecD::kLanes <= n; i += VecD::kLanes) {
+  for (; i < vector_end; i += VecD::kLanes) {
     acc = acc + VecD::Load(a + i) * VecD::Load(b + i);
   }
   double sum = acc.Sum();

@@ -97,6 +97,84 @@ TEST(PreprocessorState, StatefulLoadRejectsGarbage) {
   }
 }
 
+/// Loads `blob` into a fresh preprocessor built from `config`.
+Status LoadBlob(const PreprocessorConfig& config, const std::string& blob) {
+  std::istringstream in(blob, std::ios::binary);
+  return MakePreprocessor(config)->LoadState(in);
+}
+
+TEST(PreprocessorState, PowerTransformerRejectsShortStatistics) {
+  // The transform kernel reads a mean and a stddev for every lambda even
+  // when it does not standardize, so shorter statistics would be read
+  // out of bounds. Both modes must reject them.
+  for (bool standardize : {true, false}) {
+    PreprocessorConfig config =
+        PreprocessorConfig::Defaults(PreprocessorKind::kPowerTransformer);
+    config.standardize = standardize;
+    const std::vector<double> lambdas = {0.5, 1.5, 2.5};
+    const std::vector<double> full = {1.0, 1.0, 1.0};
+    const std::vector<double> shorter = {1.0};
+    for (const auto& [means, stddevs] :
+         {std::pair{shorter, shorter}, std::pair{full, shorter},
+          std::pair{shorter, full}}) {
+      std::ostringstream blob(std::ios::binary);
+      WriteVec(blob, lambdas);
+      WriteVec(blob, means);
+      WriteVec(blob, stddevs);
+      Status status = LoadBlob(config, blob.str());
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+          << "standardize=" << standardize << " means=" << means.size()
+          << " stddevs=" << stddevs.size();
+    }
+    std::ostringstream valid(std::ios::binary);
+    WriteVec(valid, lambdas);
+    WriteVec(valid, full);
+    WriteVec(valid, full);
+    EXPECT_TRUE(LoadBlob(config, valid.str()).ok());
+  }
+}
+
+/// A QuantileTransformer state blob with the given declared table size
+/// and tables.
+std::string QuantileBlob(int32_t effective,
+                         const std::vector<std::vector<double>>& tables) {
+  std::ostringstream blob(std::ios::binary);
+  WritePod<int32_t>(blob, effective);
+  WritePod<uint64_t>(blob, tables.size());
+  for (const std::vector<double>& table : tables) WriteVec(blob, table);
+  return blob.str();
+}
+
+TEST(PreprocessorState, QuantileTransformerRejectsWrongSizedTables) {
+  // The transform reads refs[0] and refs[n - 1]: an empty or 1-entry
+  // table, or one whose size disagrees with the declared count, must be
+  // rejected at load.
+  const PreprocessorConfig config =
+      PreprocessorConfig::Defaults(PreprocessorKind::kQuantileTransformer);
+  const std::vector<double> good = {0.0, 0.5, 1.0};
+  for (const std::vector<double>& bad :
+       {std::vector<double>{}, std::vector<double>{0.5},
+        std::vector<double>{0.0, 1.0}, std::vector<double>{0, 1, 2, 3}}) {
+    Status status = LoadBlob(config, QuantileBlob(3, {good, bad}));
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << "table of " << bad.size();
+  }
+  EXPECT_TRUE(LoadBlob(config, QuantileBlob(3, {good, good})).ok());
+}
+
+TEST(PreprocessorState, QuantileTransformerRejectsUnsortedTables) {
+  // The transform bisects each table; an unsorted one breaks the search.
+  // Ties are what a fit on repeated values produces and stay valid.
+  const PreprocessorConfig config =
+      PreprocessorConfig::Defaults(PreprocessorKind::kQuantileTransformer);
+  Status status =
+      LoadBlob(config, QuantileBlob(3, {{0.0, 0.5, 1.0}, {0.0, 2.0, 1.0}}));
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(
+      LoadBlob(config, QuantileBlob(3, {{0.0, 0.5, 1.0}, {1.0, 1.0, 1.0}}))
+          .ok());
+}
+
 // ---------------------------------------------------------------------------
 // Classifier state round-trips (the three paper models plus the
 // auxiliary classifiers used by landmarking meta-features).

@@ -1,12 +1,22 @@
 #include "preprocess/preprocessor.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/run_journal.h"
+#include "data/benchmark_suite.h"
 #include "preprocess/power_transformer.h"
 #include "preprocess/quantile_transformer.h"
 #include "util/random.h"
+#include "util/simd.h"
 #include "util/stats.h"
 
 namespace autofp {
@@ -266,6 +276,141 @@ TEST(PowerTransformer, ConstantColumnSafe) {
   Matrix constant = {{2.0}, {2.0}, {2.0}};
   Matrix out = transformer->FitTransform(constant);
   for (size_t r = 0; r < 3; ++r) EXPECT_TRUE(std::isfinite(out(r, 0)));
+}
+
+/// The Yeo-Johnson transform written out branch by branch, with the
+/// logarithm taken per call.
+double ReferenceYeoJohnson(double x, double lambda) {
+  auto clamp = [](double v) {
+    return std::isnan(v) ? 0.0 : std::clamp(v, -1e100, 1e100);
+  };
+  if (x >= 0.0) {
+    if (std::abs(lambda) < 1e-8) return std::log1p(x);
+    return clamp(std::expm1(lambda * std::log1p(x)) / lambda);
+  }
+  const double two_minus = 2.0 - lambda;
+  if (std::abs(two_minus) < 1e-8) return -std::log1p(-x);
+  return clamp(-std::expm1(two_minus * std::log1p(-x)) / two_minus);
+}
+
+/// The Yeo-Johnson log-likelihood computed naively: every term calls
+/// YeoJohnson(x, lambda), and the Jacobian takes log1p(|x|) afresh.
+double NaiveLogLikelihood(const std::vector<double>& column, double lambda) {
+  if (column.empty()) return 0.0;
+  const double n = static_cast<double>(column.size());
+  double jacobian = 0.0;
+  for (double x : column) jacobian += std::copysign(std::log1p(std::abs(x)), x);
+  double sum = 0.0, sum_sq = 0.0;
+  for (double x : column) {
+    const double t = PowerTransformer::YeoJohnson(x, lambda);
+    sum += t;
+    sum_sq += t * t;
+  }
+  const double variance = sum_sq / n - (sum / n) * (sum / n);
+  if (!(variance > 0.0) || !std::isfinite(variance)) {
+    return -std::numeric_limits<double>::infinity();
+  }
+  return -0.5 * n * std::log(variance) + (lambda - 1.0) * jacobian;
+}
+
+uint64_t Bits(double value) { return std::bit_cast<uint64_t>(value); }
+
+// The fit computes each element's logarithm once and reuses it for every
+// lambda of the search. Both the transform and the log-likelihood must
+// keep the exact bits of the per-call computation, on signed zeros, the
+// +-1e100 clamp, a constant column and both near-singular lambda branches
+// (within 1e-8 of 0 for x >= 0 and of 2 for x < 0).
+TEST(PowerTransformer, HoistedLogLikelihoodIsBitExact) {
+  const std::vector<std::vector<double>> columns = {
+      {0.0, -0.0, 0.0, -0.0, 1.0},
+      {-3.5, -1.0, -0.0, 0.0, 0.25, 1.0, 2.5, 7.0, -0.125},
+      {1e10, -1e10, 3e15, -2e20, 1e50, -1e120, 1e300, 0.5, -0.5},
+      {2.5, 2.5, 2.5, 2.5},
+      {-0.0, -0.0, -0.0},
+  };
+  std::vector<double> lambdas;
+  for (double lambda = -4.0; lambda <= 6.0; lambda += 0.25) {
+    lambdas.push_back(lambda);
+  }
+  for (double near : {0.0, 2.0}) {
+    for (double offset : {-1.5e-8, -1e-8, -9e-9, -1e-12, 0.0, 1e-12, 9e-9,
+                          1e-8, 1.5e-8}) {
+      lambdas.push_back(near + offset);
+    }
+  }
+  bool hit_clamp = false;
+  for (const std::vector<double>& column : columns) {
+    for (double lambda : lambdas) {
+      for (double x : column) {
+        const double t = PowerTransformer::YeoJohnson(x, lambda);
+        hit_clamp |= std::abs(t) == 1e100;
+        EXPECT_EQ(Bits(t), Bits(ReferenceYeoJohnson(x, lambda)))
+            << "x=" << x << " lambda=" << lambda;
+      }
+      EXPECT_EQ(Bits(PowerTransformer::LogLikelihood(column, lambda)),
+                Bits(NaiveLogLikelihood(column, lambda)))
+          << "column[0]=" << column[0] << " lambda=" << lambda;
+    }
+  }
+  EXPECT_TRUE(hit_clamp);
+}
+
+/// FNV-1a over every cell's bytes in (row, col) order, independent of the
+/// matrix's storage layout.
+uint64_t HashCells(const Matrix& m) {
+  uint64_t hash = Fnv1a64(nullptr, 0);
+  for (size_t r = 0; r < m.rows(); ++r) {
+    for (size_t c = 0; c < m.cols(); ++c) {
+      const double value = m(r, c);
+      hash = Fnv1a64(&value, sizeof(value), hash);
+    }
+  }
+  return hash;
+}
+
+// Pins the fitted state (every lambda, mean and stddev) and the
+// transformed output of a fixed higgs_syn sample to the bit. A fit-path
+// change that moves any fitted value by one ulp changes the journal and
+// the exported artifact, and fails here first. The preprocessor kernels
+// are backend-exact, so the SIMD and forced-scalar paths share one set
+// of hashes.
+TEST(PowerTransformer, GoldenHiggsSampleStateAndOutput) {
+  Result<Dataset> higgs = GetSuiteDataset("higgs_syn");
+  ASSERT_TRUE(higgs.ok());
+  Rng rng(12);
+  std::vector<size_t> rows(1000);
+  for (size_t& row : rows) row = rng.UniformIndex(higgs.value().num_rows());
+  const Matrix sample = higgs.value().SelectRows(rows).features;
+
+  struct Golden {
+    bool standardize;
+    uint64_t state_hash;
+    uint64_t output_hash;
+  };
+  const Golden goldens[] = {
+      {true, 0xd891449c5c5d8e1aull, 0x10d8518085e3855eull},
+      {false, 0xf95d8643053d847bull, 0x2975accee6bee262ull},
+  };
+  for (bool force_scalar : {false, true}) {
+    simd::ScopedForceScalar backend(force_scalar);
+    for (const Golden& golden : goldens) {
+      SCOPED_TRACE(::testing::Message()
+                   << "standardize=" << golden.standardize
+                   << " force_scalar=" << force_scalar);
+      PreprocessorConfig config =
+          PreprocessorConfig::Defaults(PreprocessorKind::kPowerTransformer);
+      config.standardize = golden.standardize;
+      PowerTransformer transformer(config);
+      transformer.Fit(sample);
+      std::ostringstream state;
+      transformer.SaveState(state);
+      const std::string bytes = state.str();
+      Matrix out = sample;
+      transformer.TransformInPlace(out);
+      EXPECT_EQ(Fnv1a64(bytes.data(), bytes.size()), golden.state_hash);
+      EXPECT_EQ(HashCells(out), golden.output_hash);
+    }
+  }
 }
 
 // --- Generic properties over all preprocessors -----------------------------
