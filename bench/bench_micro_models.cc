@@ -5,7 +5,10 @@
 /// `--json [path]` switches to the model-kernel roofline report instead:
 /// the SIMD primitives the model inner loops ride (Dot, Axpy, the
 /// branchless histogram binning, streaming moments accumulation) timed
-/// scalar vs vectorized, with element throughput and speedups.
+/// scalar vs vectorized, with element throughput and speedups, and one
+/// SMAC-shaped surrogate fit (ns per 20-tree forest fit), under a host
+/// stamp (nproc, SIMD backend, compiler, build type, commit).
+/// scripts/bench_snapshot.sh commits it as BENCH_model_kernels.json.
 
 #include <benchmark/benchmark.h>
 
@@ -15,8 +18,11 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_host.h"
 #include "core/auto_fp.h"
+#include "core/search_space.h"
 #include "data/synthetic.h"
+#include "ml/random_forest.h"
 #include "stream/moments.h"
 #include "util/simd.h"
 
@@ -150,6 +156,7 @@ int RunModelRooflineReport(const char* path) {
     return 1;
   }
   std::fprintf(out, "{\n");
+  bench::PrintHostStamp(out);
   std::fprintf(out, "  \"backend\": \"%s\",\n", simd::kBackendName);
   std::fprintf(out, "  \"double_lanes\": %zu,\n", simd::kDoubleLanes);
   std::fprintf(out, "  \"kernels\": [\n");
@@ -225,8 +232,32 @@ int RunModelRooflineReport(const char* path) {
   });
   PrintKernelLine(out, "running_moments_16col", moments_scalar, moments_simd,
                   static_cast<double>(stream_data.features.size()), true);
+  std::fprintf(out, "  ],\n");
 
-  std::fprintf(out, "  ]\n}\n");
+  // SMAC's surrogate refit at its largest: the default 20-tree forest on
+  // 300 padded encodings of SearchSpace::Default(7), with errors that are
+  // multiples of 1/49 (a 49-row validation split's accuracies tie often).
+  constexpr size_t kObservations = 300;
+  SearchSpace space = SearchSpace::Default(7);
+  const size_t dim = space.max_pipeline_length();
+  Matrix encodings(kObservations, dim);
+  std::vector<double> errors(kObservations);
+  for (size_t r = 0; r < kObservations; ++r) {
+    const std::vector<double> encoding =
+        space.EncodePadded(space.SampleUniform(&rng));
+    for (size_t c = 0; c < dim; ++c) encodings(r, c) = encoding[c];
+    errors[r] = static_cast<double>(rng.UniformIndex(50)) / 49.0;
+  }
+  RandomForestRegressor::Config forest_config;
+  const double forest_ns = BestOfNs([&] {
+    RandomForestRegressor forest(forest_config);
+    forest.Train(encodings, errors);
+    benchmark::DoNotOptimize(forest);
+  });
+  std::fprintf(out,
+               "  \"surrogate_fit\": {\"trees\": %d, \"rows\": %zu, "
+               "\"cols\": %zu, \"ns_per_fit\": %.0f}\n}\n",
+               forest_config.num_trees, kObservations, dim, forest_ns);
   if (out != stdout) std::fclose(out);
   return 0;
 }

@@ -12,16 +12,13 @@
 
 #include <benchmark/benchmark.h>
 
-#include <stdio.h>
-
 #include <algorithm>
-#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <thread>
 
+#include "bench/bench_host.h"
 #include "core/auto_fp.h"
 #include "util/simd.h"
 
@@ -238,33 +235,6 @@ double TimeFitNs(PreprocessorKind kind, const Matrix& source) {
                   });
 }
 
-/// The commit of the source tree the bench was built from, with
-/// "+dirty" when tracked files differ from it; "unknown" outside git.
-std::string SourceCommit() {
-  const std::string git = "git -C '" AUTOFP_BENCH_SOURCE_DIR "' ";
-  auto run = [](const std::string& command) {
-    std::string output;
-    if (std::FILE* pipe = ::popen((command + " 2>/dev/null").c_str(), "r")) {
-      char buffer[256];
-      while (std::fgets(buffer, sizeof(buffer), pipe) != nullptr) {
-        output += buffer;
-      }
-      ::pclose(pipe);
-    }
-    while (!output.empty() && std::isspace(static_cast<unsigned char>(
-                                  output.back()))) {
-      output.pop_back();
-    }
-    return output;
-  };
-  std::string commit = run(git + "rev-parse HEAD");
-  if (commit.empty()) return "unknown";
-  if (!run(git + "status --porcelain --untracked-files=no").empty()) {
-    commit += "+dirty";
-  }
-  return commit;
-}
-
 int RunRooflineReport(const char* path) {
   constexpr size_t kRooflineRows = 8192;
   constexpr size_t kRooflineCols = 16;
@@ -276,13 +246,7 @@ int RunRooflineReport(const char* path) {
     return 1;
   }
   std::fprintf(out, "{\n");
-  std::fprintf(out,
-               "  \"host\": {\"nproc\": %u, \"simd\": \"%s\", "
-               "\"compiler\": \"%s\", \"build_type\": \"%s\", "
-               "\"commit\": \"%s\"},\n",
-               std::thread::hardware_concurrency(), simd::kBackendName,
-               AUTOFP_BENCH_COMPILER, AUTOFP_BENCH_BUILD_TYPE,
-               SourceCommit().c_str());
+  bench::PrintHostStamp(out);
   std::fprintf(out, "  \"backend\": \"%s\",\n", simd::kBackendName);
   std::fprintf(out, "  \"double_lanes\": %zu,\n", simd::kDoubleLanes);
   std::fprintf(out, "  \"rows\": %zu,\n", kRooflineRows);

@@ -17,7 +17,8 @@
 #     SIMD col-major, with rows/s, GB/s and speedups
 #     (bench_micro_preprocessors --json).
 #   BENCH_model_kernels.json — the model-side SIMD primitives (Dot,
-#     Axpy, histogram binning, running moments), scalar vs vectorized
+#     Axpy, histogram binning, running moments), scalar vs vectorized,
+#     and one SMAC-shaped surrogate forest fit
 #     (bench_micro_models --json).
 #
 # Numbers are machine-dependent; the committed files are reference

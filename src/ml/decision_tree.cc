@@ -185,35 +185,159 @@ int DecisionTreeClassifier::depth() const {
 // Regressor
 // ---------------------------------------------------------------------------
 
+RegressionTrainingSet::RegressionTrainingSet(
+    const Matrix& features, const std::vector<double>& targets)
+    : features_(features), targets_(targets) {
+  const size_t rows = features.rows();
+  const size_t cols = features.cols();
+  AUTOFP_CHECK_EQ(rows, targets.size());
+  AUTOFP_CHECK_GT(rows, 0u);
+  AUTOFP_CHECK_LE(rows, std::numeric_limits<uint32_t>::max());
+  for (size_t r = 0; r < rows; ++r) {
+    AUTOFP_CHECK(std::isfinite(targets[r])) << "non-finite target, row " << r;
+    for (size_t c = 0; c < cols; ++c) {
+      AUTOFP_CHECK(std::isfinite(features(r, c)))
+          << "non-finite feature, row " << r << " column " << c;
+    }
+  }
+
+  // Dense ranks: sort each column's rows by value and start a new level
+  // wherever the value changes (so -0.0 and +0.0 share a level).
+  ranks_.resize(rows * cols);
+  levels_.resize(cols);
+  std::vector<uint32_t> order(rows);
+  for (size_t c = 0; c < cols; ++c) {
+    std::iota(order.begin(), order.end(), uint32_t{0});
+    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+      return features(a, c) < features(b, c);
+    });
+    uint32_t* column = ranks_.data() + c * rows;
+    uint32_t level = 0;
+    for (size_t i = 0; i < rows; ++i) {
+      if (i > 0 && features(order[i - 1], c) < features(order[i], c)) {
+        ++level;
+      }
+      column[order[i]] = level;
+    }
+    levels_[c] = level + 1;
+  }
+
+  by_target_.resize(rows);
+  std::iota(by_target_.begin(), by_target_.end(), uint32_t{0});
+  std::stable_sort(by_target_.begin(), by_target_.end(),
+                   [&](uint32_t a, uint32_t b) {
+                     return targets[a] < targets[b];
+                   });
+}
+
+/// One tree fit's buffers, sized once so that no node allocates. A node
+/// owns entries [begin, end) of `rows` and `by_target`; a split stably
+/// partitions both ranges into its children's.
+struct DecisionTreeRegressor::Workspace {
+  std::vector<uint32_t> rows;       ///< bootstrap draw order.
+  std::vector<uint32_t> by_target;  ///< ascending target order.
+  std::vector<uint32_t> order;      ///< scan order; partition scratch.
+  std::vector<uint32_t> counts;     ///< counting-sort buckets, one a level.
+  std::vector<uint64_t> keys;       ///< (rank, position) sort keys.
+  std::vector<size_t> candidates;   ///< the node's feature draw.
+};
+
+namespace {
+
+/// Writes the node entries `by_target[0, n)` (ascending target) to
+/// `order` sorted by their rank in `ranks`, ties kept in target order:
+/// the (value, target) order of sorting the node's pairs. A column with
+/// at most n levels is counting-sorted; a column with more (continuous
+/// or deep nodes) sorts (rank, position) keys instead, which are
+/// distinct, so any sort of them yields that same order.
+void OrderByValue(const uint32_t* ranks, uint32_t levels,
+                  const uint32_t* by_target, size_t n, uint32_t* order,
+                  uint32_t* counts, uint64_t* keys) {
+  if (levels <= n) {
+    std::fill(counts, counts + levels, 0u);
+    for (size_t i = 0; i < n; ++i) ++counts[ranks[by_target[i]]];
+    uint32_t start = 0;
+    for (uint32_t level = 0; level < levels; ++level) {
+      const uint32_t count = counts[level];
+      counts[level] = start;
+      start += count;
+    }
+    for (size_t i = 0; i < n; ++i) {
+      order[counts[ranks[by_target[i]]]++] = by_target[i];
+    }
+    return;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    keys[i] = uint64_t{ranks[by_target[i]]} << 32 | i;
+  }
+  std::sort(keys, keys + n);
+  for (size_t i = 0; i < n; ++i) order[i] = by_target[keys[i] & 0xFFFFFFFFu];
+}
+
+/// Stable in-place partition of `values[0, n)` by `goes_left`, using
+/// `scratch` (n entries) for the right side. Returns the left count.
+template <typename Predicate>
+size_t StablePartition(uint32_t* values, size_t n, uint32_t* scratch,
+                       Predicate goes_left) {
+  size_t left = 0, right = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (goes_left(values[i])) {
+      values[left++] = values[i];
+    } else {
+      scratch[right++] = values[i];
+    }
+  }
+  std::copy(scratch, scratch + right, values + left);
+  return left;
+}
+
+}  // namespace
+
 void DecisionTreeRegressor::Train(const Matrix& features,
                                   const std::vector<double>& targets) {
-  AUTOFP_CHECK_EQ(features.rows(), targets.size());
-  AUTOFP_CHECK_GT(features.rows(), 0u);
-  nodes_.clear();
-  std::vector<size_t> rows(features.rows());
+  RegressionTrainingSet data(features, targets);
+  std::vector<size_t> rows(data.rows());
   std::iota(rows.begin(), rows.end(), size_t{0});
-  Build(features, targets, &rows, 0, nullptr);
+  TrainOnRows(data, rows, nullptr);
 }
 
-void DecisionTreeRegressor::TrainOnRows(const Matrix& features,
-                                        const std::vector<double>& targets,
+void DecisionTreeRegressor::TrainOnRows(const RegressionTrainingSet& data,
                                         const std::vector<size_t>& rows,
                                         Rng* rng) {
-  AUTOFP_CHECK(!rows.empty());
+  const size_t n = rows.size();
+  AUTOFP_CHECK_GT(n, 0u);
+  AUTOFP_CHECK_LE(n, std::numeric_limits<uint32_t>::max());
   nodes_.clear();
-  std::vector<size_t> mutable_rows = rows;
-  Build(features, targets, &mutable_rows, 0, rng);
+  Workspace work;
+  // counts first holds each row's bootstrap multiplicity, which expands
+  // the shared target order into this sample's.
+  work.counts.assign(data.rows(), 0u);
+  work.rows.reserve(n);
+  for (size_t row : rows) {
+    AUTOFP_CHECK_LT(row, data.rows());
+    work.rows.push_back(static_cast<uint32_t>(row));
+    ++work.counts[row];
+  }
+  work.by_target.reserve(n);
+  for (uint32_t row : data.by_target()) {
+    work.by_target.insert(work.by_target.end(), work.counts[row], row);
+  }
+  work.order.resize(n);
+  work.keys.resize(n);
+  work.candidates.resize(data.cols());
+  Build(data, &work, 0, n, 0, rng);
 }
 
-int DecisionTreeRegressor::Build(const Matrix& features,
-                                 const std::vector<double>& targets,
-                                 std::vector<size_t>* rows, int depth,
-                                 Rng* rng) {
-  const size_t n = rows->size();
+int DecisionTreeRegressor::Build(const RegressionTrainingSet& data,
+                                 Workspace* work, size_t begin, size_t end,
+                                 int depth, Rng* rng) {
+  const std::vector<double>& targets = data.targets();
+  const size_t n = end - begin;
   double sum = 0.0, sum_sq = 0.0;
-  for (size_t row : *rows) {
-    sum += targets[row];
-    sum_sq += targets[row] * targets[row];
+  for (size_t i = begin; i < end; ++i) {
+    const double target = targets[work->rows[i]];
+    sum += target;
+    sum_sq += target * target;
   }
   double mean = sum / static_cast<double>(n);
 
@@ -230,19 +354,35 @@ int DecisionTreeRegressor::Build(const Matrix& features,
     return make_leaf();
   }
 
-  SplitCandidate best;
-  std::vector<std::pair<double, double>> sorted(n);
-  for (size_t feature : CandidateFeatures(features.cols(),
-                                          config_.max_features, rng)) {
-    for (size_t i = 0; i < n; ++i) {
-      sorted[i] = {features((*rows)[i], feature), targets[(*rows)[i]]};
+  // Candidate features: all of them, or the first max_features of a
+  // partial Fisher-Yates shuffle, drawing from rng exactly as
+  // Rng::SampleWithoutReplacement does.
+  const size_t cols = data.cols();
+  std::vector<size_t>& candidates = work->candidates;
+  std::iota(candidates.begin(), candidates.end(), size_t{0});
+  size_t num_candidates = cols;
+  if (config_.max_features > 0 &&
+      static_cast<size_t>(config_.max_features) < cols && rng != nullptr) {
+    num_candidates = static_cast<size_t>(config_.max_features);
+    for (size_t i = 0; i < num_candidates; ++i) {
+      std::swap(candidates[i], candidates[i + rng->UniformIndex(cols - i)]);
     }
-    std::sort(sorted.begin(), sorted.end());
-    if (sorted.front().first == sorted.back().first) continue;
+  }
+
+  const Matrix& features = data.features();
+  const uint32_t* by_target = work->by_target.data() + begin;
+  uint32_t* order = work->order.data();
+  SplitCandidate best;
+  for (size_t c = 0; c < num_candidates; ++c) {
+    const size_t feature = candidates[c];
+    const uint32_t* ranks = data.ranks(feature);
+    OrderByValue(ranks, data.levels(feature), by_target, n, order,
+                 work->counts.data(), work->keys.data());
+    if (ranks[order[0]] == ranks[order[n - 1]]) continue;
     double left_sum = 0.0;
     for (size_t i = 0; i + 1 < n; ++i) {
-      left_sum += sorted[i].second;
-      if (sorted[i].first == sorted[i + 1].first) continue;
+      left_sum += targets[order[i]];
+      if (ranks[order[i]] == ranks[order[i + 1]]) continue;
       double left_n = static_cast<double>(i + 1);
       double right_n = static_cast<double>(n) - left_n;
       if (left_n < config_.min_samples_leaf ||
@@ -257,7 +397,9 @@ int DecisionTreeRegressor::Build(const Matrix& features,
       if (score > best.score) {
         best.score = score;
         best.feature = static_cast<int>(feature);
-        best.threshold = (sorted[i].first + sorted[i + 1].first) / 2.0;
+        best.threshold =
+            (features(order[i], feature) + features(order[i + 1], feature)) /
+            2.0;
       }
     }
   }
@@ -266,17 +408,13 @@ int DecisionTreeRegressor::Build(const Matrix& features,
   double gain = best.score - sum * sum / static_cast<double>(n);
   if (gain <= 1e-12) return make_leaf();
 
-  std::vector<size_t> left_rows, right_rows;
-  for (size_t row : *rows) {
-    if (features(row, best.feature) <= best.threshold) {
-      left_rows.push_back(row);
-    } else {
-      right_rows.push_back(row);
-    }
-  }
-  if (left_rows.empty() || right_rows.empty()) return make_leaf();
-  rows->clear();
-  rows->shrink_to_fit();
+  auto goes_left = [&](uint32_t row) {
+    return features(row, best.feature) <= best.threshold;
+  };
+  const size_t left_n =
+      StablePartition(work->rows.data() + begin, n, order, goes_left);
+  if (left_n == 0 || left_n == n) return make_leaf();
+  StablePartition(work->by_target.data() + begin, n, order, goes_left);
 
   Node node;
   node.feature = best.feature;
@@ -284,8 +422,8 @@ int DecisionTreeRegressor::Build(const Matrix& features,
   node.value = mean;
   nodes_.push_back(node);
   int index = static_cast<int>(nodes_.size() - 1);
-  int left = Build(features, targets, &left_rows, depth + 1, rng);
-  int right = Build(features, targets, &right_rows, depth + 1, rng);
+  int left = Build(data, work, begin, begin + left_n, depth + 1, rng);
+  int right = Build(data, work, begin + left_n, end, depth + 1, rng);
   nodes_[index].left = left;
   nodes_[index].right = right;
   return index;

@@ -1,6 +1,7 @@
 #ifndef AUTOFP_ML_DECISION_TREE_H_
 #define AUTOFP_ML_DECISION_TREE_H_
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -62,6 +63,39 @@ class DecisionTreeClassifier : public Classifier {
   std::vector<Node> nodes_;
 };
 
+/// A regression training set prepared once for many tree fits: every
+/// column's values as dense ranks (values that compare equal, -0.0 and
+/// +0.0 included, share a rank) and the row indices stably sorted by
+/// target. A forest builds one and fits all its trees on it, so a tree
+/// node orders its rows by (value, target) without sorting doubles.
+/// Views `features` and `targets`, which must outlive it.
+class RegressionTrainingSet {
+ public:
+  /// CHECK-fails unless every feature and target is finite.
+  RegressionTrainingSet(const Matrix& features,
+                        const std::vector<double>& targets);
+
+  const Matrix& features() const { return features_; }
+  const std::vector<double>& targets() const { return targets_; }
+  size_t rows() const { return targets_.size(); }
+  size_t cols() const { return levels_.size(); }
+  /// Column `col`'s dense ranks, indexed by row, each in [0, levels(col)).
+  const uint32_t* ranks(size_t col) const {
+    return ranks_.data() + col * rows();
+  }
+  /// Number of distinct values in column `col`.
+  uint32_t levels(size_t col) const { return levels_[col]; }
+  /// Row indices in ascending target order (ties in row order).
+  const std::vector<uint32_t>& by_target() const { return by_target_; }
+
+ private:
+  const Matrix& features_;
+  const std::vector<double>& targets_;
+  std::vector<uint32_t> ranks_;  ///< column-major, rows() per column.
+  std::vector<uint32_t> levels_;
+  std::vector<uint32_t> by_target_;
+};
+
 /// CART regression tree (variance reduction). The base learner of the
 /// random-forest surrogate used by SMAC.
 class DecisionTreeRegressor {
@@ -72,8 +106,10 @@ class DecisionTreeRegressor {
 
   void Train(const Matrix& features, const std::vector<double>& targets);
 
-  /// Random-forest variant (row subset + per-split feature subsampling).
-  void TrainOnRows(const Matrix& features, const std::vector<double>& targets,
+  /// Random-forest variant: fits the bootstrap sample `rows` (row indices
+  /// of `data`, in draw order, repeats allowed) with per-split feature
+  /// subsampling drawn from `rng`.
+  void TrainOnRows(const RegressionTrainingSet& data,
                    const std::vector<size_t>& rows, Rng* rng);
 
   double Predict(const double* row, size_t cols) const;
@@ -88,9 +124,12 @@ class DecisionTreeRegressor {
     int right = -1;
     double value = 0.0;  ///< mean target (leaves).
   };
+  struct Workspace;
 
-  int Build(const Matrix& features, const std::vector<double>& targets,
-            std::vector<size_t>* rows, int depth, Rng* rng);
+  /// Grows the subtree over entries [begin, end) of the workspace's
+  /// `rows` / `by_target` ranges; returns its root's node index.
+  int Build(const RegressionTrainingSet& data, Workspace* work, size_t begin,
+            size_t end, int depth, Rng* rng);
 
   TreeConfig config_;
   std::vector<Node> nodes_;

@@ -8,8 +8,9 @@ namespace autofp {
 
 void RandomForestRegressor::Train(const Matrix& features,
                                   const std::vector<double>& targets) {
-  AUTOFP_CHECK_EQ(features.rows(), targets.size());
-  AUTOFP_CHECK_GT(features.rows(), 0u);
+  // Column ranks and the target order are computed once here and shared
+  // by every tree, so no tree node sorts by value.
+  RegressionTrainingSet data(features, targets);
   trees_.clear();
   Rng rng(config_.seed);
   TreeConfig tree_config = config_.tree;
@@ -23,7 +24,7 @@ void RandomForestRegressor::Train(const Matrix& features,
     for (size_t i = 0; i < n; ++i) bootstrap[i] = rng.UniformIndex(n);
     DecisionTreeRegressor tree(tree_config);
     Rng tree_rng = rng.Fork();
-    tree.TrainOnRows(features, targets, bootstrap, &tree_rng);
+    tree.TrainOnRows(data, bootstrap, &tree_rng);
     trees_.push_back(std::move(tree));
   }
 }

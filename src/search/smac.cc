@@ -32,10 +32,13 @@ void Smac::Initialize(SearchContext* context) {
 
 void Smac::Iterate(SearchContext* context) {
   const SearchSpace& space = context->space();
-  // Gather full-budget observations.
+  // Gather full-budget observations. Like best-tracking, skip a record
+  // whose accuracy is not finite: a NaN error is no forest target. A
+  // failed record carries the finite penalty score and stays in.
   std::vector<const Evaluation*> observations;
   for (const Evaluation& evaluation : context->history()) {
-    if (evaluation.budget_fraction >= 1.0 && !evaluation.pipeline.empty()) {
+    if (evaluation.budget_fraction >= 1.0 && !evaluation.pipeline.empty() &&
+        std::isfinite(evaluation.accuracy)) {
       observations.push_back(&evaluation);
     }
   }

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/run_journal.h"
 #include "data/synthetic.h"
 #include "ml/cross_validation.h"
 #include "ml/decision_tree.h"
@@ -235,6 +236,124 @@ TEST(RandomForest, UncertaintyHigherOffDistribution) {
   auto p_out = forest.PredictWithUncertainty(&outside, 1);
   EXPECT_GE(p_out.stddev, 0.0);
   EXPECT_TRUE(std::isfinite(p_in.mean));
+}
+
+/// FNV-1a over a double's bytes.
+uint64_t HashDouble(uint64_t hash, double value) {
+  return Fnv1a64(&value, sizeof(value), hash);
+}
+
+/// A seeded surrogate-shaped training set. Column c is, by c % 4:
+/// continuous, small-integer, +-0.0-only, or drawn from `levels` values
+/// (400: more levels than most nodes have rows). Targets are either
+/// multiples of 1/49, as SMAC's errors on a 49-row validation split are,
+/// so they tie often, or continuous, so that summing one level's targets
+/// in another order would round differently.
+void MakeMixedColumns(Rng* rng, size_t rows, size_t cols, size_t levels,
+                      bool tied_targets, Matrix* features,
+                      std::vector<double>* targets) {
+  *features = Matrix(rows, cols);
+  targets->assign(rows, 0.0);
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t c = 0; c < cols; ++c) {
+      double value = 0.0;
+      switch (c % 4) {
+        case 0: value = rng->Uniform(-1.0, 1.0); break;
+        case 1: value = static_cast<double>(rng->UniformInt(0, 6)); break;
+        case 2: value = rng->Bernoulli(0.5) ? -0.0 : 0.0; break;
+        default:
+          value = static_cast<double>(rng->UniformIndex(levels)) / 7.0 - 20.0;
+          break;
+      }
+      (*features)(r, c) = value;
+    }
+    (*targets)[r] = tied_targets
+                        ? static_cast<double>(rng->UniformIndex(50)) / 49.0
+                        : rng->Gaussian();
+  }
+  // Zeros of both signs next to non-zero levels in one column, so a
+  // threshold between a zero and its neighbour is scanned.
+  if (cols > 2) {
+    for (size_t r = 0; r < rows; r += 3) {
+      (*features)(r, 2) = rng->UniformInt(-1, 1);
+    }
+  }
+}
+
+/// A training row with column c moved to the midpoint (a + b) / 2 of two
+/// of that column's values: a split threshold when a and b are adjacent
+/// in some node, so a threshold one ulp off sends it the other way.
+std::vector<double> MidpointQuery(const Matrix& features, Rng* rng) {
+  const size_t cols = features.cols();
+  const double* row = features.RowPtr(rng->UniformIndex(features.rows()));
+  std::vector<double> query(row, row + cols);
+  const size_t c = rng->UniformIndex(cols);
+  query[c] = (features(rng->UniformIndex(features.rows()), c) +
+              features(rng->UniformIndex(features.rows()), c)) /
+             2.0;
+  return query;
+}
+
+// Pins the surrogate SMAC reads to the bit: the mean and stddev of
+// PredictWithUncertainty over ~50 seeded forests of mixed column kinds,
+// growth limits and feature subsampling, plus one full-feature single
+// tree (its predictions and node count), queried at training rows,
+// random points and split midpoints. Any change to the tree fit that
+// moves a split, a threshold or a leaf mean by one ulp fails here.
+TEST(RandomForest, GoldenPredictionsAcrossShapes) {
+  uint64_t forest_hash = Fnv1a64(nullptr, 0);
+  for (int trial = 0; trial < 48; ++trial) {
+    Rng rng(7000 + static_cast<uint64_t>(trial));
+    const size_t rows = 20 + rng.UniformIndex(281);
+    const size_t cols = 1 + rng.UniformIndex(8);
+    Matrix features;
+    std::vector<double> targets;
+    const size_t levels = rng.Bernoulli(0.5) ? 400 : 24;
+    const bool tied_targets = rng.Bernoulli(0.7);
+    MakeMixedColumns(&rng, rows, cols, levels, tied_targets, &features,
+                     &targets);
+    RandomForestRegressor::Config config;
+    config.seed = 100 + static_cast<uint64_t>(trial);
+    const int kMaxDepths[] = {-1, 3, 6};
+    const size_t kMinSamplesLeaf[] = {1, 3, 5};
+    config.tree.max_depth = kMaxDepths[trial % 3];
+    config.tree.min_samples_leaf = kMinSamplesLeaf[trial / 3 % 3];
+    config.tree.max_features = trial % 2 == 0 ? -1 : static_cast<int>(cols);
+    RandomForestRegressor forest(config);
+    forest.Train(features, targets);
+    for (size_t q = 0; q < 48; ++q) {
+      std::vector<double> query(cols);
+      if (q % 3 == 0) {
+        const double* row = features.RowPtr(rng.UniformIndex(rows));
+        query.assign(row, row + cols);
+      } else if (q % 3 == 1) {
+        for (double& v : query) v = rng.Uniform(-21.0, 21.0);
+      } else {
+        query = MidpointQuery(features, &rng);
+      }
+      RandomForestRegressor::Prediction prediction =
+          forest.PredictWithUncertainty(query.data(), cols);
+      forest_hash = HashDouble(forest_hash, prediction.mean);
+      forest_hash = HashDouble(forest_hash, prediction.stddev);
+    }
+  }
+
+  Rng rng(7777);
+  Matrix features;
+  std::vector<double> targets;
+  MakeMixedColumns(&rng, 300, 7, 400, true, &features, &targets);
+  DecisionTreeRegressor tree;
+  tree.Train(features, targets);
+  uint64_t tree_hash = Fnv1a64(nullptr, 0);
+  tree_hash = HashCombine(tree_hash, tree.num_nodes());
+  for (size_t r = 0; r < features.rows(); ++r) {
+    tree_hash = HashDouble(tree_hash, tree.Predict(features.RowPtr(r), 7));
+    const std::vector<double> query = MidpointQuery(features, &rng);
+    tree_hash = HashDouble(tree_hash, tree.Predict(query.data(), 7));
+  }
+
+  EXPECT_EQ(forest_hash, 0x5cd0093fe03eb809ull);
+  EXPECT_EQ(tree_hash, 0xba496975bbafd6f4ull);
 }
 
 TEST(Knn, OneNearestNeighborMemorizes) {

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -163,6 +164,29 @@ TEST(RiggedSurrogates, ModelBasedSearchExploitsStructure) {
     SearchResult result = RunSearch(algorithm.get(), &evaluator, space, {Budget::Evaluations(150), 47});
     EXPECT_GE(result.best_accuracy, 0.85) << name;
   }
+}
+
+// A successful evaluation may record a NaN accuracy (best-tracking skips
+// it). SMAC must keep such records out of its surrogate: the forest
+// CHECK-fails on a non-finite target, so without the filter this search
+// aborts at its first refit.
+TEST(RiggedSurrogates, SmacSkipsNonFiniteScores) {
+  long nan_scores = 0;
+  RiggedEvaluator evaluator([&](const PipelineSpec& pipeline) {
+    if (pipeline.size() % 3 == 0) {
+      ++nan_scores;
+      return std::numeric_limits<double>::quiet_NaN();
+    }
+    return GradientLandscape(pipeline);
+  });
+  SearchSpace space = SearchSpace::Default();
+  auto smac = MakeSearchAlgorithm("SMAC").value();
+  SearchResult result = RunSearch(smac.get(), &evaluator, space,
+                                  {Budget::Evaluations(120), 51});
+  EXPECT_EQ(result.num_evaluations, 120);
+  EXPECT_GT(nan_scores, 1);
+  EXPECT_TRUE(std::isfinite(result.best_accuracy));
+  EXPECT_NE(result.best_pipeline.size() % 3, 0u);
 }
 
 /// Landscape B ("deceptive"): good length-1 pipelines but the optimum

@@ -3,11 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include "core/run_journal.h"
+#include "data/benchmark_suite.h"
 #include "data/splits.h"
 #include "data/synthetic.h"
 #include "search/progressive_nas.h"
 #include "search/smac.h"
 #include "search/tpe.h"
+#include "util/simd.h"
 
 namespace autofp {
 namespace {
@@ -116,6 +119,36 @@ TEST(Smac, EvaluatesExactlyOnePipelinePerIteration) {
   long before = context.num_evaluations();
   smac.Iterate(&context);
   EXPECT_EQ(context.num_evaluations(), before + 1);
+}
+
+// Pins SMAC's search trajectory on heart_syn with LR: every pipeline it
+// picks and every accuracy it records, hashed to the bit. The surrogate's
+// fit decides each pick, so a forest change that moves one prediction
+// ulp can change the history. LR's dot products differ by SIMD backend,
+// so the run forces the scalar kernels to make the hash portable.
+TEST(Smac, GoldenHistoryOnHeart) {
+  simd::ScopedForceScalar scalar(true);
+  Result<Dataset> heart = GetSuiteDataset("heart_syn");
+  ASSERT_TRUE(heart.ok());
+  Rng rng(61);
+  TrainValidSplit split = SplitTrainValid(heart.value(), 0.8, &rng);
+  PipelineEvaluator evaluator(
+      split.train, split.valid,
+      ModelConfig::Defaults(ModelKind::kLogisticRegression));
+  SearchSpace space = SearchSpace::Default();
+  SearchContext context(&space, &evaluator,
+                        SearchOptions{Budget::Evaluations(120), 61});
+  Smac smac;
+  smac.Initialize(&context);
+  while (!context.BudgetExhausted()) smac.Iterate(&context);
+  uint64_t hash = Fnv1a64(nullptr, 0);
+  for (const Evaluation& evaluation : context.history()) {
+    const std::string key = evaluation.pipeline.Key();
+    hash = Fnv1a64(key.data(), key.size(), hash);
+    hash = Fnv1a64(&evaluation.accuracy, sizeof(evaluation.accuracy), hash);
+  }
+  EXPECT_EQ(context.history().size(), 120u);
+  EXPECT_EQ(hash, 0xefa0213e88d4936bull);
 }
 
 TEST(ProgressiveNasBehavior, InitEvaluatesAllSingletons) {
