@@ -6,8 +6,9 @@
 /// the SIMD primitives the model inner loops ride (Dot, Axpy, the
 /// branchless histogram binning, streaming moments accumulation) timed
 /// scalar vs vectorized, with element throughput and speedups, and one
-/// SMAC-shaped surrogate fit (ns per 20-tree forest fit), under a host
-/// stamp (nproc, SIMD backend, compiler, build type, commit).
+/// SMAC-shaped surrogate fit (ns per 20-tree forest fit), and one XGB
+/// fit at the TEVO_H x XGB workload's train shape (ns per Train), under a
+/// host stamp (nproc, SIMD backend, compiler, build type, commit).
 /// scripts/bench_snapshot.sh commits it as BENCH_model_kernels.json.
 
 #include <benchmark/benchmark.h>
@@ -21,7 +22,10 @@
 #include "bench/bench_host.h"
 #include "core/auto_fp.h"
 #include "core/search_space.h"
+#include "data/benchmark_suite.h"
+#include "data/splits.h"
 #include "data/synthetic.h"
+#include "ml/gbdt.h"
 #include "ml/random_forest.h"
 #include "stream/moments.h"
 #include "util/simd.h"
@@ -256,8 +260,30 @@ int RunModelRooflineReport(const char* path) {
   });
   std::fprintf(out,
                "  \"surrogate_fit\": {\"trees\": %d, \"rows\": %zu, "
-               "\"cols\": %zu, \"ns_per_fit\": %.0f}\n}\n",
+               "\"cols\": %zu, \"ns_per_fit\": %.0f},\n",
                forest_config.num_trees, kObservations, dim, forest_ns);
+
+  // One XGB fit at the train shape of the end-to-end TEVO_H x XGB
+  // workload: 800 of jannis_syn's rows (54 columns, 4 classes), default
+  // config.
+  Result<Dataset> jannis = GetSuiteDataset("jannis_syn");
+  AUTOFP_CHECK(jannis.ok()) << jannis.status().ToString();
+  Rng subsample_rng(29);
+  const Dataset gbdt_data = SubsampleRows(
+      jannis.value(), 800.0 / static_cast<double>(jannis.value().num_rows()),
+      &subsample_rng);
+  const ModelConfig gbdt_config = ModelConfig::Defaults(ModelKind::kXgboost);
+  const double gbdt_ns = BestOfNs([&] {
+    GbdtClassifier model(gbdt_config);
+    model.Train(gbdt_data.features, gbdt_data.labels,
+                gbdt_data.num_classes);
+    benchmark::DoNotOptimize(model);
+  });
+  std::fprintf(out,
+               "  \"gbdt_train\": {\"rows\": %zu, \"cols\": %zu, "
+               "\"classes\": %d, \"ns_per_train\": %.0f}\n}\n",
+               gbdt_data.num_rows(), gbdt_data.num_cols(),
+               gbdt_data.num_classes, gbdt_ns);
   if (out != stdout) std::fclose(out);
   return 0;
 }

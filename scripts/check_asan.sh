@@ -4,12 +4,13 @@
 # storage primitives they rest on, the pipeline fit/transform paths,
 # the parallel + serving consumers of shared cache entries, the
 # preprocessor state loaders that must reject malformed artifact blobs
-# before a transform reads past them, and the regression-tree fit behind
+# before a transform reads past them, the regression-tree fit behind
 # SMAC's surrogate (dense column ranks, counting-sort offsets, in-place
-# stable partitions). ASan is the check that the zero-copy refactor's
-# aliasing rules (in-place kernels, non-owning views, adopted move
-# storage) and the tree fit's index arithmetic never read or write freed
-# or out-of-bounds memory.
+# stable partitions), the GBDT fit (bin-cell table, histogram planes,
+# node row ranges) and dataset construction from parsed tables. ASan is
+# the check that the zero-copy refactor's aliasing rules (in-place
+# kernels, non-owning views, adopted move storage) and the tree fits'
+# index arithmetic never read or write freed or out-of-bounds memory.
 #
 # Usage: scripts/check_asan.sh [ctest-regex]
 #   ctest-regex  optional test-name filter; defaults to the data-plane
@@ -18,14 +19,15 @@ set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 build_dir="${repo_root}/build-asan"
-filter="${1:-Matrix|InPlace|Pipeline|TransformCache|ScratchEval|ParallelEvaluator|EvaluateBatch|Predictor|PreprocessorState|DecisionTree|RandomForest|Smac}"
+filter="${1:-Matrix|InPlace|Pipeline|TransformCache|ScratchEval|ParallelEvaluator|EvaluateBatch|Predictor|PreprocessorState|DecisionTree|RandomForest|Smac|Gbdt|GbdtDetails|Dataset}"
 
 cmake -B "${build_dir}" -S "${repo_root}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DAUTOFP_SANITIZE=address
 cmake --build "${build_dir}" -j \
   --target test_matrix test_inplace test_pipeline test_parallel_eval \
-  test_predictor test_artifact test_models test_surrogates
+  test_predictor test_artifact test_models test_surrogates \
+  test_gbdt_details test_dataset
 
 cd "${build_dir}"
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \

@@ -1,6 +1,7 @@
 #include "data/dataset.h"
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 
 #include "util/csv.h"
@@ -69,6 +70,12 @@ Result<Dataset> DatasetFromMatrix(const Matrix& table,
       out.features(r, c) = table(r, c);
     }
     raw_labels[r] = table(r, feature_cols);
+    // A NaN key would break the map's ordering (UB), and an infinite
+    // label is no class either.
+    if (!std::isfinite(raw_labels[r])) {
+      return Status::InvalidArgument("non-finite label at row " +
+                                     std::to_string(r));
+    }
     label_ids[raw_labels[r]] = 0;
   }
   int next_id = 0;

@@ -42,6 +42,7 @@ Result<Dataset> LoadCsvDataset(const std::string& path, bool has_header,
                                const std::string& name);
 
 /// Builds a dataset from a parsed matrix whose last column is the label.
+/// A non-finite label is an InvalidArgument naming its (0-based) row.
 Result<Dataset> DatasetFromMatrix(const Matrix& table, const std::string& name);
 
 }  // namespace autofp

@@ -26,16 +26,160 @@ double GbdtClassifier::Tree::Predict(const double* row) const {
   return nodes[index].weight;
 }
 
-GbdtClassifier::Tree GbdtClassifier::BuildTree(
-    const Matrix& features, const std::vector<std::vector<uint16_t>>& binned,
-    const std::vector<double>& grad, const std::vector<double>& hess) {
+struct GbdtClassifier::FitData {
+  /// A split: active feature `feature` goes left at bins <= `bin`.
+  struct Split {
+    int feature = -1;
+    int bin = -1;
+  };
+
+  /// The columns with at least 2 bins ("active features"), ascending.
+  /// Histogram lane j belongs to columns[j].
+  std::vector<size_t> columns;
+  /// edges[j] = ascending bin upper edges of columns[j]. A value's bin
+  /// is the count of edges strictly below it, so "bin <= b" is exactly
+  /// "value <= edges[b]", the test Tree::Predict applies.
+  std::vector<std::vector<double>> edges;
+  /// Active features rounded up to whole SIMD vectors.
+  size_t width = 0;
+  /// Most bins of any active feature: the histograms' row count.
+  size_t max_bins = 0;
+  /// [row][j] = bin * width + j, the histogram cell of row's feature j.
+  std::vector<uint32_t> cells;
+  /// [j] = bins of feature j minus 1, the bins a split may end at (0 in
+  /// the padding lanes), as doubles for the lane compare.
+  std::vector<double> split_bins;
+  /// Training rows in tree order: each node owns a [begin, end) range,
+  /// ascending by row, which a split stably partitions in place.
+  std::vector<uint32_t> order;
+  std::vector<uint32_t> right_rows;
+  /// Gradient and hessian histograms, [bin][width].
+  std::vector<double> hist_g, hist_h;
+
+  /// Sums each row's (g, h) into its cell of every active feature, in
+  /// one pass over the node's rows. Each cell adds its rows in
+  /// ascending row order, as a per-feature pass would.
+  void FillHistograms(uint32_t begin, uint32_t end, const double* grad,
+                      const double* hess);
+
+  /// The first (feature, bin), in ascending order, of the largest gain
+  /// above 1e-10 whose children both keep !(h < min_child_weight). Lanes
+  /// scan adjacent features and keep their own first strict best, which
+  /// are merged in ascending feature order with the same strict test:
+  /// the split a sequential scan picks.
+  Split FindSplit(double g_total, double h_total, double lambda,
+                  double min_child_weight) const;
+
+  /// Stably moves the rows of [begin, end) that go left to the front of
+  /// the range; returns the end of the left part.
+  uint32_t Partition(uint32_t begin, uint32_t end, Split split);
+};
+
+void GbdtClassifier::FitData::FillHistograms(uint32_t begin, uint32_t end,
+                                             const double* grad,
+                                             const double* hess) {
+  const size_t cells_per_plane = max_bins * width;
+  simd::Fill(hist_g.data(), 0.0, cells_per_plane);
+  simd::Fill(hist_h.data(), 0.0, cells_per_plane);
+  const size_t active = columns.size();
+  double* sum_g = hist_g.data();
+  double* sum_h = hist_h.data();
+  for (uint32_t i = begin; i < end; ++i) {
+    const uint32_t row = order[i];
+    const double g = grad[row];
+    const double h = hess[row];
+    const uint32_t* row_cells = cells.data() + size_t{row} * active;
+    for (size_t j = 0; j < active; ++j) {
+      sum_g[row_cells[j]] += g;
+      sum_h[row_cells[j]] += h;
+    }
+  }
+}
+
+GbdtClassifier::FitData::Split GbdtClassifier::FitData::FindSplit(
+    double g_total, double h_total, double lambda,
+    double min_child_weight) const {
+  using simd::VecD;
+  constexpr size_t kLanes = VecD::kLanes;
+  constexpr double kMinGain = 1e-10;
+  const VecD g_all = VecD::Set1(g_total);
+  const VecD h_all = VecD::Set1(h_total);
+  const VecD lambdas = VecD::Set1(lambda);
+  const VecD min_weight = VecD::Set1(min_child_weight);
+  const VecD parent_score = VecD::Set1(g_total * g_total / (h_total + lambda));
+  double best_gain = kMinGain;
+  Split best;
+  for (size_t j0 = 0; j0 < width; j0 += kLanes) {
+    const VecD lane_split_bins = VecD::Load(split_bins.data() + j0);
+    const size_t block_bins = static_cast<size_t>(*std::max_element(
+        split_bins.begin() + j0, split_bins.begin() + j0 + kLanes));
+    VecD g_left = VecD::Zero(), h_left = VecD::Zero();
+    VecD lane_gain = VecD::Set1(kMinGain), lane_bin = VecD::Zero();
+    for (size_t b = 0; b < block_bins; ++b) {
+      g_left = g_left + VecD::Load(hist_g.data() + b * width + j0);
+      h_left = h_left + VecD::Load(hist_h.data() + b * width + j0);
+      const VecD h_right = h_all - h_left;
+      const VecD g_right = g_all - g_left;
+      const VecD gain = g_left * g_left / (h_left + lambdas) +
+                        g_right * g_right / (h_right + lambdas) -
+                        parent_score;
+      const VecD bin = VecD::Set1(static_cast<double>(b));
+      const auto children_ok = VecD::And(VecD::NotLt(h_left, min_weight),
+                                         VecD::NotLt(h_right, min_weight));
+      const auto better =
+          VecD::And(VecD::And(VecD::Gt(lane_split_bins, bin), children_ok),
+                    VecD::Gt(gain, lane_gain));
+      lane_gain = VecD::Select(better, gain, lane_gain);
+      lane_bin = VecD::Select(better, bin, lane_bin);
+    }
+    double gains[kLanes], bins[kLanes];
+    lane_gain.Store(gains);
+    lane_bin.Store(bins);
+    for (size_t lane = 0; lane < kLanes; ++lane) {
+      if (gains[lane] > best_gain) {
+        best_gain = gains[lane];
+        best.feature = static_cast<int>(j0 + lane);
+        best.bin = static_cast<int>(bins[lane]);
+      }
+    }
+  }
+  return best;
+}
+
+uint32_t GbdtClassifier::FitData::Partition(uint32_t begin, uint32_t end,
+                                            Split split) {
+  const size_t active = columns.size();
+  const size_t feature = static_cast<size_t>(split.feature);
+  const uint32_t last_left_cell =
+      static_cast<uint32_t>(static_cast<size_t>(split.bin) * width + feature);
+  uint32_t left_end = begin;
+  size_t right_count = 0;
+  for (uint32_t i = begin; i < end; ++i) {
+    const uint32_t row = order[i];
+    if (cells[size_t{row} * active + feature] <= last_left_cell) {
+      order[left_end++] = row;
+    } else {
+      right_rows[right_count++] = row;
+    }
+  }
+  std::copy(right_rows.begin(), right_rows.begin() + right_count,
+            order.begin() + left_end);
+  return left_end;
+}
+
+GbdtClassifier::Tree GbdtClassifier::BuildTree(FitData* data,
+                                               const double* grad,
+                                               const double* hess,
+                                               double* scores,
+                                               size_t stride) const {
   Tree tree;
   const double lambda = config_.xgb_lambda;
   const double eta = config_.xgb_eta;
-  const size_t num_features = binned.size();
+  const uint32_t num_rows = static_cast<uint32_t>(data->order.size());
 
   struct WorkItem {
-    std::vector<size_t> rows;
+    uint32_t begin;
+    uint32_t end;
     int depth;
     int node_index;
   };
@@ -44,90 +188,51 @@ GbdtClassifier::Tree GbdtClassifier::BuildTree(
     return -eta * g / (h + lambda);
   };
 
-  // Root.
-  std::vector<size_t> all_rows(grad.size());
-  std::iota(all_rows.begin(), all_rows.end(), size_t{0});
+  // Root: every row, ascending. Children keep their parent's row order.
+  std::iota(data->order.begin(), data->order.end(), uint32_t{0});
   tree.nodes.emplace_back();
   std::vector<WorkItem> stack;
-  stack.push_back({std::move(all_rows), 0, 0});
+  stack.push_back({0, num_rows, 0, 0});
 
   while (!stack.empty()) {
-    WorkItem item = std::move(stack.back());
+    const WorkItem item = stack.back();
     stack.pop_back();
+    const uint32_t* rows = data->order.data();
     double g_total = 0.0, h_total = 0.0;
-    for (size_t row : item.rows) {
-      g_total += grad[row];
-      h_total += hess[row];
+    for (uint32_t i = item.begin; i < item.end; ++i) {
+      g_total += grad[rows[i]];
+      h_total += hess[rows[i]];
     }
+    const double weight = leaf_weight(g_total, h_total);
+    tree.nodes[item.node_index].weight = weight;
+
+    FitData::Split split;
+    if (item.depth < config_.xgb_max_depth && item.end - item.begin >= 2 &&
+        !data->columns.empty()) {
+      data->FillHistograms(item.begin, item.end, grad, hess);
+      split = data->FindSplit(g_total, h_total, lambda,
+                              config_.xgb_min_child_weight);
+    }
+    if (split.feature < 0) {
+      // A leaf. Its rows are exactly the training rows Tree::Predict
+      // routes here (NaN features are rejected by Train).
+      for (uint32_t i = item.begin; i < item.end; ++i) {
+        scores[size_t{rows[i]} * stride] += weight;
+      }
+      continue;
+    }
+
+    const uint32_t mid = data->Partition(item.begin, item.end, split);
     TreeNode& node = tree.nodes[item.node_index];
-    node.weight = leaf_weight(g_total, h_total);
-    if (item.depth >= config_.xgb_max_depth || item.rows.size() < 2) continue;
-
-    // Best histogram split across features. The (g, h) histogram is one
-    // interleaved buffer reused across features and nodes: a bin's pair
-    // shares a cache line, the zero-fill is vectorized, and the
-    // per-feature allocations of the old two-array form are gone. The
-    // accumulation order per bin is unchanged, so the resulting trees
-    // are identical.
-    double best_gain = 1e-10;
-    int best_feature = -1;
-    int best_bin = -1;
-    const double parent_score = g_total * g_total / (h_total + lambda);
-    for (size_t f = 0; f < num_features; ++f) {
-      const size_t num_bins = bins_[f].size() + 1;
-      if (num_bins < 2) continue;
-      if (hist_.size() < 2 * num_bins) hist_.resize(2 * num_bins);
-      simd::Fill(hist_.data(), 0.0, 2 * num_bins);
-      const std::vector<uint16_t>& feature_bins = binned[f];
-      for (size_t row : item.rows) {
-        double* pair = hist_.data() + 2 * feature_bins[row];
-        pair[0] += grad[row];
-        pair[1] += hess[row];
-      }
-      double g_left = 0.0, h_left = 0.0;
-      for (size_t b = 0; b + 1 < num_bins; ++b) {
-        g_left += hist_[2 * b];
-        h_left += hist_[2 * b + 1];
-        double h_right = h_total - h_left;
-        if (h_left < config_.xgb_min_child_weight ||
-            h_right < config_.xgb_min_child_weight) {
-          continue;
-        }
-        double g_right = g_total - g_left;
-        double gain = g_left * g_left / (h_left + lambda) +
-                      g_right * g_right / (h_right + lambda) - parent_score;
-        if (gain > best_gain) {
-          best_gain = gain;
-          best_feature = static_cast<int>(f);
-          best_bin = static_cast<int>(b);
-        }
-      }
-    }
-    if (best_feature < 0) continue;
-
-    node.feature = best_feature;
-    node.threshold = bins_[best_feature][best_bin];
-    std::vector<size_t> left_rows, right_rows;
-    const std::vector<uint16_t>& feature_bins = binned[best_feature];
-    for (size_t row : item.rows) {
-      if (feature_bins[row] <= static_cast<uint16_t>(best_bin)) {
-        left_rows.push_back(row);
-      } else {
-        right_rows.push_back(row);
-      }
-    }
-    item.rows.clear();
-    item.rows.shrink_to_fit();
-    tree.nodes.emplace_back();
-    int left_index = static_cast<int>(tree.nodes.size() - 1);
-    tree.nodes.emplace_back();
-    int right_index = static_cast<int>(tree.nodes.size() - 1);
-    tree.nodes[item.node_index].left = left_index;
-    tree.nodes[item.node_index].right = right_index;
-    stack.push_back({std::move(left_rows), item.depth + 1, left_index});
-    stack.push_back({std::move(right_rows), item.depth + 1, right_index});
+    node.feature = static_cast<int>(data->columns[split.feature]);
+    node.threshold = data->edges[split.feature][split.bin];
+    const int left_index = static_cast<int>(tree.nodes.size());
+    node.left = left_index;
+    node.right = left_index + 1;
+    tree.nodes.resize(tree.nodes.size() + 2);
+    stack.push_back({item.begin, mid, item.depth + 1, left_index});
+    stack.push_back({mid, item.end, item.depth + 1, left_index + 1});
   }
-  (void)features;
   return tree;
 }
 
@@ -140,18 +245,21 @@ void GbdtClassifier::Train(const Matrix& features,
   num_features_ = features.cols();
   trees_.clear();
   const size_t n = features.rows();
+  AUTOFP_CHECK_LE(n, std::numeric_limits<uint32_t>::max());
 
   // Quantile histogram bins per feature (computed once on training data).
-  bins_.assign(num_features_, {});
-  std::vector<std::vector<uint16_t>> binned(
-      num_features_, std::vector<uint16_t>(n, 0));
+  // Features with a single bin can never split and get no histogram.
+  FitData data;
   const int max_bins = std::max(config_.xgb_max_bins, 2);
   for (size_t f = 0; f < num_features_; ++f) {
-    std::vector<double> column = features.Column(f);
-    std::vector<double> sorted = column;
+    std::vector<double> sorted = features.Column(f);
+    for (size_t r = 0; r < n; ++r) {
+      AUTOFP_CHECK(!std::isnan(sorted[r]))
+          << "GbdtClassifier: NaN feature, row " << r << ", column " << f;
+    }
     std::sort(sorted.begin(), sorted.end());
     sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-    std::vector<double>& edges = bins_[f];
+    std::vector<double> edges;
     if (static_cast<int>(sorted.size()) <= max_bins) {
       // One bin per distinct value; edge = value (left-inclusive).
       edges.assign(sorted.begin(), sorted.end() - (sorted.empty() ? 0 : 1));
@@ -163,14 +271,37 @@ void GbdtClassifier::Train(const Matrix& features,
       }
       edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
     }
-    for (size_t r = 0; r < n; ++r) {
-      // bin index = count of edges strictly below the value, so that
-      // "bin <= b" at training time is exactly "value <= edges[b]" — the
-      // predicate Tree::Predict applies to raw feature values.
-      binned[f][r] = static_cast<uint16_t>(
-          simd::LowerBoundIndex(edges.data(), edges.size(), column[r]));
+    if (edges.empty()) continue;
+    data.max_bins = std::max(data.max_bins, edges.size() + 1);
+    data.columns.push_back(f);
+    data.edges.push_back(std::move(edges));
+  }
+  const size_t active = data.columns.size();
+  constexpr size_t kLanes = simd::kDoubleLanes;
+  data.width = (active + kLanes - 1) / kLanes * kLanes;
+  // 32-bit cells: a plane too large for them (8 bytes per cell) could
+  // not be allocated either.
+  AUTOFP_CHECK_LE(data.max_bins * data.width,
+                  std::numeric_limits<uint32_t>::max());
+  data.split_bins.assign(data.width, 0.0);
+  for (size_t j = 0; j < active; ++j) {
+    data.split_bins[j] = static_cast<double>(data.edges[j].size());
+  }
+  data.cells.resize(n * active);
+  for (size_t r = 0; r < n; ++r) {
+    const double* row = features.RowPtr(r);
+    uint32_t* row_cells = data.cells.data() + r * active;
+    for (size_t j = 0; j < active; ++j) {
+      const std::vector<double>& edges = data.edges[j];
+      const size_t bin = simd::LowerBoundIndex(edges.data(), edges.size(),
+                                               row[data.columns[j]]);
+      row_cells[j] = static_cast<uint32_t>(bin * data.width + j);
     }
   }
+  data.order.resize(n);
+  data.right_rows.resize(n);
+  data.hist_g.resize(data.max_bins * data.width);
+  data.hist_h.resize(data.max_bins * data.width);
 
   std::vector<double> scores(n * num_outputs_, 0.0);
   std::vector<double> grad(n), hess(n);
@@ -181,13 +312,8 @@ void GbdtClassifier::Train(const Matrix& features,
         grad[i] = p - (labels[i] == 1 ? 1.0 : 0.0);
         hess[i] = std::max(p * (1.0 - p), 1e-6);
       }
-      Tree tree = BuildTree(features, binned, grad, hess);
-      for (size_t i = 0; i < n; ++i) {
-        // Tree routing on binned data must match value routing; use the
-        // original features for consistency with prediction time.
-        scores[i] += tree.Predict(features.RowPtr(i));
-      }
-      trees_.push_back(std::move(tree));
+      trees_.push_back(
+          BuildTree(&data, grad.data(), hess.data(), scores.data(), 1));
     } else {
       // Softmax probabilities for this round.
       std::vector<double> probs(n * num_outputs_);
@@ -210,11 +336,8 @@ void GbdtClassifier::Train(const Matrix& features,
           grad[i] = p - (labels[i] == k ? 1.0 : 0.0);
           hess[i] = std::max(p * (1.0 - p), 1e-6);
         }
-        Tree tree = BuildTree(features, binned, grad, hess);
-        for (size_t i = 0; i < n; ++i) {
-          scores[i * num_outputs_ + k] += tree.Predict(features.RowPtr(i));
-        }
-        trees_.push_back(std::move(tree));
+        trees_.push_back(BuildTree(&data, grad.data(), hess.data(),
+                                   scores.data() + k, num_outputs_));
       }
     }
   }
@@ -315,7 +438,6 @@ Status GbdtClassifier::LoadState(std::istream& in) {
   num_features_ = features;
   base_score_ = base_score;
   trees_ = std::move(trees);
-  bins_.clear();  // training-only state, not part of the artifact.
   return Status::OK();
 }
 

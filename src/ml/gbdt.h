@@ -20,6 +20,8 @@ class GbdtClassifier : public Classifier {
     AUTOFP_CHECK(config.kind == ModelKind::kXgboost);
   }
 
+  /// CHECK-fails on a NaN feature: the split search bins it as the lowest
+  /// value while Tree::Predict sends it right.
   void Train(const Matrix& features, const std::vector<int>& labels,
              int num_classes) override;
   int Predict(const double* row, size_t cols) const override;
@@ -48,12 +50,14 @@ class GbdtClassifier : public Classifier {
     double Predict(const double* row) const;
   };
 
-  /// Builds one regression tree on (grad, hess) using the per-feature bin
-  /// edges in bins_; returns the tree and updates `scores` in place.
-  Tree BuildTree(const Matrix& features,
-                 const std::vector<std::vector<uint16_t>>& binned,
-                 const std::vector<double>& grad,
-                 const std::vector<double>& hess);
+  /// The binned training matrix and the fit's scratch, built once per
+  /// Train call and shared by all its trees (defined in gbdt.cc).
+  struct FitData;
+
+  /// Grows one regression tree on (grad, hess) over `data`'s binned rows
+  /// and adds each training row's leaf weight to scores[row * stride].
+  Tree BuildTree(FitData* data, const double* grad, const double* hess,
+                 double* scores, size_t stride) const;
 
   ModelConfig config_;
   int num_classes_ = 0;
@@ -62,11 +66,6 @@ class GbdtClassifier : public Classifier {
   double base_score_ = 0.0;
   /// trees_[round * num_outputs_ + output].
   std::vector<Tree> trees_;
-  /// bins_[feature] = ascending bin upper edges (histogram split points).
-  std::vector<std::vector<double>> bins_;
-  /// Interleaved [g, h] split histogram, reused across features and
-  /// nodes by BuildTree (training-only scratch).
-  std::vector<double> hist_;
 };
 
 }  // namespace autofp

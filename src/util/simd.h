@@ -122,6 +122,12 @@ struct Vec<double> {
   static Vec Ge(Vec a, Vec b) { return {_mm256_cmp_pd(a.v, b.v, _CMP_GE_OQ)}; }
   static Vec Le(Vec a, Vec b) { return {_mm256_cmp_pd(a.v, b.v, _CMP_LE_OQ)}; }
   static Vec Eq(Vec a, Vec b) { return {_mm256_cmp_pd(a.v, b.v, _CMP_EQ_OQ)}; }
+  /// !(a < b): unlike Ge, set where either lane is NaN.
+  static Vec NotLt(Vec a, Vec b) {
+    return {_mm256_cmp_pd(a.v, b.v, _CMP_NLT_UQ)};
+  }
+  /// Lanes set in both masks.
+  static Vec And(Vec a, Vec b) { return {_mm256_and_pd(a.v, b.v)}; }
   /// Lanes from `a` where the mask lane is set, else from `b`.
   static Vec Select(Vec mask, Vec a, Vec b) {
     return {_mm256_blendv_pd(b.v, a.v, mask.v)};
@@ -240,6 +246,14 @@ struct Vec<double> {
   static Vec Eq(Vec a, Vec b) {
     return {vreinterpretq_f64_u64(vceqq_f64(a.v, b.v))};
   }
+  static Vec NotLt(Vec a, Vec b) {
+    return {vreinterpretq_f64_u32(
+        vmvnq_u32(vreinterpretq_u32_u64(vcltq_f64(a.v, b.v))))};
+  }
+  static Vec And(Vec a, Vec b) {
+    return {vreinterpretq_f64_u64(vandq_u64(vreinterpretq_u64_f64(a.v),
+                                            vreinterpretq_u64_f64(b.v)))};
+  }
   static Vec Select(Vec mask, Vec a, Vec b) {
     return {vbslq_f64(vreinterpretq_u64_f64(mask.v), a.v, b.v)};
   }
@@ -336,6 +350,8 @@ struct Vec<double> {
   static bool Ge(Vec a, Vec b) { return a.v >= b.v; }
   static bool Le(Vec a, Vec b) { return a.v <= b.v; }
   static bool Eq(Vec a, Vec b) { return a.v == b.v; }
+  static bool NotLt(Vec a, Vec b) { return !(a.v < b.v); }
+  static bool And(bool a, bool b) { return a && b; }
   static Vec Select(bool mask, Vec a, Vec b) { return mask ? a : b; }
 
   double Sum() const { return v; }

@@ -1,5 +1,10 @@
 #include "data/dataset.h"
 
+#include <cstdio>
+#include <fstream>
+#include <limits>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "data/splits.h"
@@ -69,6 +74,34 @@ TEST(Dataset, FromMatrixDensifiesLabels) {
 TEST(Dataset, FromMatrixRejectsSingleColumn) {
   Matrix table = {{1.0}, {2.0}};
   EXPECT_FALSE(DatasetFromMatrix(table, "t").ok());
+}
+
+TEST(Dataset, FromMatrixRejectsNonFiniteLabels) {
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    Matrix table = {{1.0, 0.0}, {2.0, 1.0}, {3.0, bad}, {4.0, 0.0}};
+    Result<Dataset> d = DatasetFromMatrix(table, "t");
+    ASSERT_FALSE(d.ok());
+    EXPECT_EQ(d.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(d.status().message().find("label at row 2"), std::string::npos)
+        << d.status().ToString();
+  }
+}
+
+TEST(Dataset, LoadCsvRejectsNaNLabel) {
+  // The CSV reader accepts "nan"; the label check must catch it.
+  const std::string path = ::testing::TempDir() + "/autofp_nan_label.csv";
+  {
+    std::ofstream out(path);
+    out << "a,b,label\n1,2,0\n3,4,1\n5,6,nan\n7,8,1\n";
+  }
+  Result<Dataset> d = LoadCsvDataset(path, /*has_header=*/true, "nan");
+  std::remove(path.c_str());
+  ASSERT_FALSE(d.ok());
+  EXPECT_EQ(d.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(d.status().message().find("label at row 2"), std::string::npos)
+      << d.status().ToString();
 }
 
 TEST(Splits, TrainValidProportions) {

@@ -1,6 +1,7 @@
 #include "ml/gbdt.h"
 
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -135,6 +136,31 @@ TEST(GbdtDetails, HandlesBinaryValuedFeatures) {
   GbdtClassifier model(GbdtConfig());
   model.Train(features, labels, 2);
   EXPECT_GT(EvaluateAccuracy(model, features, labels), 0.95);
+}
+
+// Training bins a NaN as the lowest value (left) while Tree::Predict,
+// which also updates the training scores, sends it right: the fit
+// refuses NaN features instead of training on rows it misroutes.
+TEST(GbdtDetails, TrainRejectsNaNFeatures) {
+  Dataset data = SmallBlobs(2, 11);
+  data.features(17, 3) = std::numeric_limits<double>::quiet_NaN();
+  GbdtClassifier model(GbdtConfig());
+  EXPECT_DEATH(model.Train(data.features, data.labels, 2),
+               "NaN feature, row 17, column 3");
+}
+
+TEST(GbdtDetails, TrainAcceptsInfiniteFeatures) {
+  // +-inf bins and routes consistently: it is an ordinary extreme value.
+  Matrix features(60, 1);
+  std::vector<int> labels(60);
+  for (size_t r = 0; r < 60; ++r) {
+    features(r, 0) = r < 30 ? -std::numeric_limits<double>::infinity()
+                            : std::numeric_limits<double>::infinity();
+    labels[r] = r < 30 ? 0 : 1;
+  }
+  GbdtClassifier model(GbdtConfig());
+  model.Train(features, labels, 2);
+  EXPECT_DOUBLE_EQ(EvaluateAccuracy(model, features, labels), 1.0);
 }
 
 TEST(GbdtDetails, DepthOneIsAdditiveStumps) {

@@ -1,6 +1,9 @@
 #include "ml/model.h"
 
+#include <algorithm>
 #include <cmath>
+#include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -354,6 +357,106 @@ TEST(RandomForest, GoldenPredictionsAcrossShapes) {
 
   EXPECT_EQ(forest_hash, 0x5cd0093fe03eb809ull);
   EXPECT_EQ(tree_hash, 0xba496975bbafd6f4ull);
+}
+
+/// A seeded GBDT training set. Column c is, by c % 6: continuous,
+/// constant, 2-valued, drawn from 5 tied levels, +-0.0 beside +-1, or a
+/// copy of column c / 2, whose gains tie with its source's, so the
+/// lower feature must win wherever the two sit in the split scan.
+/// Labels follow column 0 with 30% noise.
+void MakeGbdtColumns(Rng* rng, size_t rows, size_t cols, int classes,
+                     Matrix* features, std::vector<int>* labels) {
+  *features = Matrix(rows, cols);
+  labels->assign(rows, 0);
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t c = 0; c < cols; ++c) {
+      double value = 0.0;
+      switch (c % 6) {
+        case 0: value = rng->Uniform(); break;
+        case 1: value = 2.5; break;
+        case 2: value = rng->Bernoulli(0.4) ? 1.0 : -3.0; break;
+        case 3: value = static_cast<double>(rng->UniformInt(0, 4)); break;
+        case 4:
+          value = rng->Bernoulli(0.5) ? (rng->Bernoulli(0.5) ? -0.0 : 0.0)
+                                      : static_cast<double>(
+                                            rng->UniformInt(-1, 1));
+          break;
+        default: value = (*features)(r, c / 2); break;
+      }
+      (*features)(r, c) = value;
+    }
+    const int bucket = std::min(
+        classes - 1, static_cast<int>((*features)(r, 0) * classes));
+    (*labels)[r] = rng->Bernoulli(0.3) ? rng->UniformInt(0, classes - 1)
+                                       : bucket;
+  }
+}
+
+/// FNV-1a over a trained model's SaveState bytes and its RawScores at
+/// every training row and at as many rows with one column redrawn.
+void HashGbdt(const GbdtClassifier& model, const Matrix& features, Rng* rng,
+              uint64_t* state_hash, uint64_t* score_hash) {
+  std::ostringstream state;
+  model.SaveState(state);
+  const std::string bytes = state.str();
+  *state_hash = Fnv1a64(bytes.data(), bytes.size(), *state_hash);
+  const size_t cols = features.cols();
+  for (size_t r = 0; r < features.rows(); ++r) {
+    std::vector<double> query(features.RowPtr(r), features.RowPtr(r) + cols);
+    for (int pass = 0; pass < 2; ++pass) {
+      for (double score : model.RawScores(query.data(), cols)) {
+        *score_hash = HashDouble(*score_hash, score);
+      }
+      query[rng->UniformIndex(cols)] = rng->Uniform(-3.5, 3.5);
+    }
+  }
+}
+
+// Pins the boosted trees to the bit: SaveState and RawScores over seeded
+// fits that cover binary, 4- and 10-class labels, constant, 2-valued,
+// tied, +-0.0 and duplicated columns, xgb_max_bins {2, 4, 32, 256},
+// min_child_weight {0, 1, 10}, depth {1, 4, 8} and a 600-column matrix.
+// The hashes were captured before the histogram fit was rewritten; any
+// change that moves a split, a threshold or a leaf weight fails here.
+// The fit uses no reassociating kernel, so the hashes hold on the SIMD
+// and the AUTOFP_DISABLE_SIMD builds alike.
+TEST(Gbdt, GoldenTreesAcrossShapes) {
+  uint64_t state_hash = Fnv1a64(nullptr, 0);
+  uint64_t score_hash = Fnv1a64(nullptr, 0);
+  const int kClasses[] = {2, 4, 10};
+  const int kMaxBins[] = {2, 4, 32, 256};
+  const double kMinChildWeight[] = {0.0, 1.0, 10.0};
+  const int kDepth[] = {1, 4, 8};
+  for (int trial = 0; trial < 12; ++trial) {
+    Rng rng(9100 + static_cast<uint64_t>(trial));
+    const size_t rows = 40 + rng.UniformIndex(261);
+    const size_t cols = 3 + rng.UniformIndex(12);
+    const int classes = kClasses[trial % 3];
+    Matrix features;
+    std::vector<int> labels;
+    MakeGbdtColumns(&rng, rows, cols, classes, &features, &labels);
+    ModelConfig config = ModelConfig::Defaults(ModelKind::kXgboost);
+    config.xgb_rounds = 4;
+    config.xgb_max_bins = kMaxBins[trial % 4];
+    config.xgb_min_child_weight = kMinChildWeight[trial / 4 % 3];
+    config.xgb_max_depth = kDepth[trial / 3 % 3];
+    GbdtClassifier model(config);
+    model.Train(features, labels, classes);
+    HashGbdt(model, features, &rng, &state_hash, &score_hash);
+  }
+
+  Rng rng(9200);
+  Matrix wide;
+  std::vector<int> labels;
+  MakeGbdtColumns(&rng, 150, 600, 4, &wide, &labels);
+  ModelConfig config = ModelConfig::Defaults(ModelKind::kXgboost);
+  config.xgb_rounds = 3;
+  GbdtClassifier model(config);
+  model.Train(wide, labels, 4);
+  HashGbdt(model, wide, &rng, &state_hash, &score_hash);
+
+  EXPECT_EQ(state_hash, 0x9d769582d9f1b51eull);
+  EXPECT_EQ(score_hash, 0x19967161c17cbf35ull);
 }
 
 TEST(Knn, OneNearestNeighborMemorizes) {

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -95,6 +96,29 @@ TEST(Simd, SelectOnStrictComparisonMatchesScalarTieBehavior) {
                                      incumbent);
   for (size_t i = 0; i < VecD::kLanes; ++i) {
     EXPECT_TRUE(BitEqual(kept_max.Lane(i), nz));
+  }
+}
+
+TEST(Simd, NotLtAndAndMatchScalarNaNSemantics) {
+  // The GBDT split scan skips a candidate with `h < min_child_weight`;
+  // its vector form keeps the NaN behaviour of that scalar test by
+  // masking with !(a < b), which is set on NaN where Ge is not.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double values[] = {nan, -1.0, -0.0, 0.0, 1.0, 2.0};
+  for (double a : values) {
+    for (double b : values) {
+      for (double c : values) {
+        const auto mask =
+            VecD::And(VecD::NotLt(VecD::Set1(a), VecD::Set1(b)),
+                      VecD::NotLt(VecD::Set1(c), VecD::Zero()));
+        const VecD picked =
+            VecD::Select(mask, VecD::Set1(1.0), VecD::Set1(0.0));
+        const double expected = !(a < b) && !(c < 0.0) ? 1.0 : 0.0;
+        for (size_t i = 0; i < VecD::kLanes; ++i) {
+          EXPECT_EQ(picked.Lane(i), expected) << a << " " << b << " " << c;
+        }
+      }
+    }
   }
 }
 
