@@ -4,15 +4,14 @@
 /// decomposition.
 ///
 /// `--json [path]` switches to the kernel roofline report instead: each
-/// preprocessor's Fit time, and its TransformInPlace timed as scalar
-/// row-major (the pre-kernel-layer reference), SIMD row-major, and SIMD
-/// col-major, with rows/s, GB/s and speedups, under a host stamp (nproc,
-/// SIMD backend, compiler, build type, commit). scripts/bench_snapshot.sh
+/// preprocessor's Fit time, and its TransformInPlace timed on the scalar
+/// reference path and on the SIMD path, with rows/s, GB/s and the SIMD
+/// speedup, under a host stamp (nproc, SIMD backend, compiler, build
+/// type, commit). scripts/bench_snapshot.sh
 /// commits it as BENCH_kernels.json.
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -206,16 +205,14 @@ double BestOfNs(Refresh refresh, Body body) {
   return best;
 }
 
-/// Best-of-N wall time of one TransformInPlace over `source` staged in
-/// `layout`, in nanoseconds. The refresh copy is outside the timed
-/// region, so the number is the kernel alone.
+/// Best-of-N wall time of one TransformInPlace over a copy of `source`,
+/// in nanoseconds. The refresh copy is outside the timed region, so the
+/// number is the kernel alone.
 double TimeTransformNs(const Preprocessor& step, const Matrix& source,
-                       Matrix::Layout layout, bool force_scalar) {
-  Matrix staged;
-  staged.AssignWithLayout(source, layout);
+                       bool force_scalar) {
   Matrix buffer;
   simd::ScopedForceScalar forced(force_scalar);
-  return BestOfNs([&] { buffer = staged; },
+  return BestOfNs([&] { buffer = source; },
                   [&] {
                     step.TransformInPlace(buffer);
                     benchmark::DoNotOptimize(buffer);
@@ -264,25 +261,18 @@ int RunRooflineReport(const char* path) {
     const double fit_ns = TimeFitNs(kind, data);
     auto step = MakePreprocessor(kind);
     step->Fit(data);
-    const double scalar_ns =
-        TimeTransformNs(*step, data, Matrix::Layout::kRowMajor, true);
-    const double simd_row_ns =
-        TimeTransformNs(*step, data, Matrix::Layout::kRowMajor, false);
-    const double simd_col_ns =
-        TimeTransformNs(*step, data, Matrix::Layout::kColMajor, false);
-    const double best_ns = std::min(simd_row_ns, simd_col_ns);
+    const double scalar_ns = TimeTransformNs(*step, data, true);
+    const double simd_row_ns = TimeTransformNs(*step, data, false);
     std::fprintf(
         out,
         "    {\"kernel\": \"%s\", \"fit_ns\": %.0f, "
-        "\"scalar_row_major_ns\": %.0f, "
-        "\"simd_row_major_ns\": %.0f, \"simd_col_major_ns\": %.0f, "
+        "\"scalar_row_major_ns\": %.0f, \"simd_row_major_ns\": %.0f, "
         "\"rows_per_s\": %.0f, \"gb_per_s\": %.2f, "
-        "\"speedup_simd_row\": %.2f, \"speedup_simd_col\": %.2f}%s\n",
-        KindName(kind).c_str(), fit_ns, scalar_ns, simd_row_ns, simd_col_ns,
-        static_cast<double>(kRooflineRows) * 1e9 / best_ns,
-        bytes_per_pass / best_ns,  // bytes/ns == GB/s
-        scalar_ns / simd_row_ns, scalar_ns / simd_col_ns,
-        i + 1 < kinds.size() ? "," : "");
+        "\"speedup_simd_row\": %.2f}%s\n",
+        KindName(kind).c_str(), fit_ns, scalar_ns, simd_row_ns,
+        static_cast<double>(kRooflineRows) * 1e9 / simd_row_ns,
+        bytes_per_pass / simd_row_ns,  // bytes/ns == GB/s
+        scalar_ns / simd_row_ns, i + 1 < kinds.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");
   if (out != stdout) std::fclose(out);

@@ -7,7 +7,9 @@
 # before a transform reads past them, the regression-tree fit behind
 # SMAC's surrogate (dense column ranks, counting-sort offsets, in-place
 # stable partitions), the GBDT fit (bin-cell table, histogram planes,
-# node row ranges) and dataset construction from parsed tables. ASan is
+# node row ranges), dataset construction from parsed tables, and the
+# data-plane golden hashes (every fit/transform path and sharded
+# serving at row and shard counts around 256). ASan is
 # the check that the zero-copy refactor's aliasing rules (in-place
 # kernels, non-owning views, adopted move storage) and the tree fits'
 # index arithmetic never read or write freed or out-of-bounds memory.
@@ -19,7 +21,7 @@ set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 build_dir="${repo_root}/build-asan"
-filter="${1:-Matrix|InPlace|Pipeline|TransformCache|ScratchEval|ParallelEvaluator|EvaluateBatch|Predictor|PreprocessorState|DecisionTree|RandomForest|Smac|Gbdt|GbdtDetails|Dataset}"
+filter="${1:-Matrix|InPlace|Pipeline|TransformCache|ScratchEval|ParallelEvaluator|EvaluateBatch|Predictor|PreprocessorState|DecisionTree|RandomForest|Smac|Gbdt|GbdtDetails|Dataset|DataPlaneGolden}"
 
 cmake -B "${build_dir}" -S "${repo_root}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -27,7 +29,7 @@ cmake -B "${build_dir}" -S "${repo_root}" \
 cmake --build "${build_dir}" -j \
   --target test_matrix test_inplace test_pipeline test_parallel_eval \
   test_predictor test_artifact test_models test_surrogates \
-  test_gbdt_details test_dataset
+  test_gbdt_details test_dataset test_data_plane_golden
 
 cd "${build_dir}"
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \

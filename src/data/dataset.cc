@@ -67,6 +67,14 @@ Result<Dataset> DatasetFromMatrix(const Matrix& table,
   std::vector<double> raw_labels(table.rows());
   for (size_t r = 0; r < table.rows(); ++r) {
     for (size_t c = 0; c < feature_cols; ++c) {
+      // A NaN or infinite feature poisons every fit that reads its
+      // column; the CSV reader parses "nan", "inf" and out-of-range
+      // literals such as 1e400, so reject them here with a location.
+      if (!std::isfinite(table(r, c))) {
+        return Status::InvalidArgument("non-finite feature at row " +
+                                       std::to_string(r) + ", column " +
+                                       std::to_string(c));
+      }
       out.features(r, c) = table(r, c);
     }
     raw_labels[r] = table(r, feature_cols);

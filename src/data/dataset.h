@@ -42,7 +42,8 @@ Result<Dataset> LoadCsvDataset(const std::string& path, bool has_header,
                                const std::string& name);
 
 /// Builds a dataset from a parsed matrix whose last column is the label.
-/// A non-finite label is an InvalidArgument naming its (0-based) row.
+/// A non-finite label is an InvalidArgument naming its (0-based) row; a
+/// non-finite feature is one naming its (0-based) row and column.
 Result<Dataset> DatasetFromMatrix(const Matrix& table, const std::string& name);
 
 }  // namespace autofp

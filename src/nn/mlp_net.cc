@@ -51,13 +51,15 @@ Matrix MlpNet::Forward(const Matrix& inputs) {
 
 Matrix MlpNet::Infer(const Matrix& inputs) const {
   AUTOFP_CHECK_EQ(inputs.cols(), config_.input_dim);
-  Matrix current = inputs;
+  // The first layer reads the caller's batch directly, without a copy.
+  Matrix current;
   for (size_t l = 0; l < layers_.size(); ++l) {
     const Layer& layer = layers_[l];
-    Matrix out(current.rows(), layer.out_dim);
+    const Matrix& in = l == 0 ? inputs : current;
+    Matrix out(in.rows(), layer.out_dim);
     const bool is_last = (l + 1 == layers_.size());
-    for (size_t r = 0; r < current.rows(); ++r) {
-      const double* in_row = current.RowPtr(r);
+    for (size_t r = 0; r < in.rows(); ++r) {
+      const double* in_row = in.RowPtr(r);
       double* out_row = out.RowPtr(r);
       for (size_t o = 0; o < layer.out_dim; ++o) {
         const double* w = layer.weights.value.data() + o * layer.in_dim;

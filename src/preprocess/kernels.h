@@ -1,23 +1,20 @@
 #ifndef AUTOFP_PREPROCESS_KERNELS_H_
 #define AUTOFP_PREPROCESS_KERNELS_H_
 
-/// Layout-aware, vectorized inner loops for the seven preprocessors.
-/// Each kernel dispatches on the matrix's storage layout and on
-/// simd::ForceScalarEnabled():
+/// Vectorized inner loops for the seven preprocessors, over row-major
+/// matrices (util/matrix.h). Each kernel has two paths, picked by
+/// simd::ForceScalarEnabled() and the compiled backend:
 ///
-///   - kRowMajor + SIMD: vectorize ACROSS COLUMNS within each row, with
-///     the per-column parameter arrays loaded as vectors. Contiguous
-///     loads, exact per element.
-///   - kColMajor + SIMD: vectorize DOWN each contiguous column with the
-///     column's parameters broadcast. This is the transform data plane's
-///     fast path.
-///   - otherwise: the scalar reference — a column-strided loop identical
-///     to the pre-kernel-layer implementation. The property tests compare
-///     the SIMD paths against this reference bit for bit.
+///   - SIMD: vectorize ACROSS COLUMNS within each row, with the
+///     per-column parameter arrays loaded as vectors. Contiguous loads,
+///     exact per element.
+///   - scalar: the reference — a column-strided loop identical to the
+///     pre-kernel-layer implementation. The property tests compare the
+///     SIMD path against this reference bit for bit.
 ///
 /// Exactness: every transform kernel here is bit-identical across
-/// backends and layouts (see util/simd.h's contract) because each element
-/// is produced by the same sequence of correctly-rounded IEEE ops and
+/// backends (see util/simd.h's contract) because each element is
+/// produced by the same sequence of correctly-rounded IEEE ops and
 /// per-column/per-row accumulation order is preserved. The fit reductions
 /// (ColumnSums etc.) preserve the row-ascending accumulation order per
 /// column for the same reason. The transcendental element functions
@@ -55,14 +52,14 @@ void PowerTransformColumns(Matrix& data, const std::vector<double>& lambdas,
 /// Maps each value through its column's empirical CDF (piecewise-linear
 /// over `references[c]`, a sorted table of >= 2 entries), optionally
 /// through the normal inverse CDF. The table walk is the branchless
-/// simd::UpperBoundIndex, gathered lane-parallel on the columnar path.
+/// simd::UpperBoundIndex.
 void QuantileTransformColumns(
     Matrix& data, const std::vector<std::vector<double>>& references,
     bool to_normal);
 
 /// Fit reductions. All accumulate per column in row-ascending order on
-/// every path, so fitted parameters are bit-identical across layouts and
-/// backends. Output vectors are assigned (not accumulated into).
+/// every path, so fitted parameters are bit-identical across backends.
+/// Output vectors are assigned (not accumulated into).
 void ColumnAbsMax(const Matrix& data, std::vector<double>* out);
 void ColumnMinMax(const Matrix& data, std::vector<double>* mins,
                   std::vector<double>* maxs);

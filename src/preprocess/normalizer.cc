@@ -5,9 +5,8 @@
 namespace autofp {
 
 void Normalizer::TransformInPlace(Matrix& data) const {
-  // Row-wise by definition: the norm is a per-sample reduction. The
-  // kernel keeps the reduction order fixed in both layouts, so the
-  // output stays bit-identical either way.
+  // Row-wise by definition: the norm is a per-sample reduction, summed
+  // in column order on every backend, so the output is bit-identical.
   kernels::NormalizeRows(data, config_.norm);
 }
 

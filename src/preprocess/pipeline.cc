@@ -64,6 +64,18 @@ std::shared_ptr<const Matrix> NonOwningView(const Matrix& matrix) {
                                        &matrix);
 }
 
+/// Fits `spec` step by step on *train, transforming *train and *valid in
+/// place after each step: the one chain every fit/transform path runs.
+void FitTransformInPlace(const PipelineSpec& spec, Matrix* train,
+                         Matrix* valid) {
+  for (const PreprocessorConfig& config : spec.steps) {
+    std::unique_ptr<Preprocessor> step = MakePreprocessor(config);
+    step->Fit(*train);
+    step->TransformInPlace(*train);
+    step->TransformInPlace(*valid);
+  }
+}
+
 /// Cache key of the length-`length` prefix of `spec` fitted on the data
 /// identified by `data_key`.
 std::string PrefixCacheKey(const std::string& data_key,
@@ -96,23 +108,13 @@ PipelineSpec PipelineSpec::FromKinds(
   return spec;
 }
 
-Matrix::Layout ChooseWorkingLayout(const PipelineSpec& spec, size_t rows) {
-  // The columnar staging pays for two transpose copies; below a few
-  // hundred rows the strided row-major kernels win outright.
-  if (spec.empty() || rows < 256) return Matrix::Layout::kRowMajor;
-  return Matrix::Layout::kColMajor;
-}
-
 FittedPipeline FittedPipeline::Fit(const PipelineSpec& spec,
                                    const Matrix& train) {
   FittedPipeline pipeline;
   pipeline.spec_ = spec;
   // One working copy threaded through the whole chain: each step fits on
-  // the previous step's output, then transforms it in place. The copy is
-  // discarded afterwards, so it can use whichever layout the kernels
-  // prefer — the fitted parameters are bit-identical either way.
-  Matrix current;
-  current.AssignWithLayout(train, ChooseWorkingLayout(spec, train.rows()));
+  // the previous step's output, then transforms it in place.
+  Matrix current = train;
   for (const PreprocessorConfig& config : spec.steps) {
     std::unique_ptr<Preprocessor> step = MakePreprocessor(config);
     step->Fit(current);
@@ -158,29 +160,8 @@ TransformedPair FitTransformPair(const PipelineSpec& spec, const Matrix& train,
                                  const Matrix& valid) {
   // One working copy per matrix threaded through the whole chain: fitting
   // transforms train step-by-step anyway, and valid follows in lockstep.
-  TransformedPair out;
-  if (ChooseWorkingLayout(spec, train.rows()) == Matrix::Layout::kColMajor) {
-    Matrix stage_train, stage_valid;
-    stage_train.AssignWithLayout(train, Matrix::Layout::kColMajor);
-    stage_valid.AssignWithLayout(valid, Matrix::Layout::kColMajor);
-    for (const PreprocessorConfig& config : spec.steps) {
-      std::unique_ptr<Preprocessor> step = MakePreprocessor(config);
-      step->Fit(stage_train);
-      step->TransformInPlace(stage_train);
-      step->TransformInPlace(stage_valid);
-    }
-    out.train.AssignWithLayout(stage_train, Matrix::Layout::kRowMajor);
-    out.valid.AssignWithLayout(stage_valid, Matrix::Layout::kRowMajor);
-    return out;
-  }
-  out.train = train;
-  out.valid = valid;
-  for (const PreprocessorConfig& config : spec.steps) {
-    std::unique_ptr<Preprocessor> step = MakePreprocessor(config);
-    step->Fit(out.train);
-    step->TransformInPlace(out.train);
-    step->TransformInPlace(out.valid);
-  }
+  TransformedPair out{train, valid};
+  FitTransformInPlace(spec, &out.train, &out.valid);
   return out;
 }
 
@@ -206,35 +187,12 @@ Result<SharedTransformedPair> CheckedFitTransformPairCached(
     // Uncached path: thread the chain through the scratch buffers (or
     // locals when the caller brought none), then hand out views. With
     // scratch, the steady state allocates nothing and the result aliases
-    // the scratch buffers — see the header contract. When the layout
-    // policy picks columnar, the chain runs through the stage_* buffers
-    // and only the final transpose-out touches train/valid.
+    // the scratch buffers — see the header contract.
     TransformScratch local;
     TransformScratch& work = scratch != nullptr ? *scratch : local;
-    if (ChooseWorkingLayout(spec, train.rows()) ==
-        Matrix::Layout::kColMajor) {
-      work.stage_train.AssignWithLayout(train, Matrix::Layout::kColMajor);
-      work.stage_valid.AssignWithLayout(valid, Matrix::Layout::kColMajor);
-      for (const PreprocessorConfig& config : spec.steps) {
-        std::unique_ptr<Preprocessor> step = MakePreprocessor(config);
-        step->Fit(work.stage_train);
-        step->TransformInPlace(work.stage_train);
-        step->TransformInPlace(work.stage_valid);
-      }
-      work.train.AssignWithLayout(work.stage_train,
-                                  Matrix::Layout::kRowMajor);
-      work.valid.AssignWithLayout(work.stage_valid,
-                                  Matrix::Layout::kRowMajor);
-    } else {
-      work.train = train;
-      work.valid = valid;
-      for (const PreprocessorConfig& config : spec.steps) {
-        std::unique_ptr<Preprocessor> step = MakePreprocessor(config);
-        step->Fit(work.train);
-        step->TransformInPlace(work.train);
-        step->TransformInPlace(work.valid);
-      }
-    }
+    work.train = train;
+    work.valid = valid;
+    FitTransformInPlace(spec, &work.train, &work.valid);
     Status status = CheckTransformed(spec, work.train, work.valid);
     if (!status.ok()) return status;
     if (scratch != nullptr) {

@@ -74,24 +74,15 @@ inline bool ReadString(std::istream& in, std::string* value) {
   return in.gcount() == static_cast<std::streamsize>(size);
 }
 
-/// Matrices serialize in row-major element order regardless of the
-/// in-memory layout, so artifacts stay byte-stable when the data plane
-/// stages column-major working copies.
+/// Matrices serialize as shape, element count, then the row-major
+/// elements.
 inline void WriteMatrix(std::ostream& out, const Matrix& matrix) {
   WritePod<uint64_t>(out, matrix.rows());
   WritePod<uint64_t>(out, matrix.cols());
   WritePod<uint64_t>(out, matrix.size());
   if (matrix.empty()) return;
-  if (matrix.layout() == Matrix::Layout::kRowMajor) {
-    out.write(reinterpret_cast<const char*>(matrix.Raw()),
-              static_cast<std::streamsize>(matrix.size() * sizeof(double)));
-    return;
-  }
-  for (size_t r = 0; r < matrix.rows(); ++r) {
-    for (size_t c = 0; c < matrix.cols(); ++c) {
-      WritePod<double>(out, matrix(r, c));
-    }
-  }
+  out.write(reinterpret_cast<const char*>(matrix.Raw()),
+            static_cast<std::streamsize>(matrix.size() * sizeof(double)));
 }
 
 inline bool ReadMatrix(std::istream& in, Matrix* matrix) {
@@ -104,7 +95,7 @@ inline bool ReadMatrix(std::istream& in, Matrix* matrix) {
     return false;
   }
   Matrix out_matrix;
-  out_matrix.Resize(rows, cols, Matrix::Layout::kRowMajor);
+  out_matrix.Resize(rows, cols);
   if (count != 0) {
     const std::streamsize bytes =
         static_cast<std::streamsize>(count * sizeof(double));

@@ -104,6 +104,26 @@ TEST(Dataset, LoadCsvRejectsNaNLabel) {
       << d.status().ToString();
 }
 
+TEST(Dataset, LoadCsvRejectsNonFiniteFeature) {
+  // The CSV reader parses these cells (1e400 overflows to inf); the
+  // feature check must reject each one with its row and column.
+  const std::string path = ::testing::TempDir() + "/autofp_nan_feature.csv";
+  for (const char* bad : {"nan", "inf", "-inf", "1e400"}) {
+    SCOPED_TRACE(bad);
+    {
+      std::ofstream out(path);
+      out << "a,b,label\n1,2,0\n3,4,1\n5," << bad << ",0\n7,8,1\n";
+    }
+    Result<Dataset> d = LoadCsvDataset(path, /*has_header=*/true, "bad");
+    std::remove(path.c_str());
+    ASSERT_FALSE(d.ok());
+    EXPECT_EQ(d.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(d.status().message().find("feature at row 2, column 1"),
+              std::string::npos)
+        << d.status().ToString();
+  }
+}
+
 TEST(Splits, TrainValidProportions) {
   Dataset d = TinyDataset();
   Rng rng(5);

@@ -355,8 +355,7 @@ TEST(PowerTransformer, HoistedLogLikelihoodIsBitExact) {
   EXPECT_TRUE(hit_clamp);
 }
 
-/// FNV-1a over every cell's bytes in (row, col) order, independent of the
-/// matrix's storage layout.
+/// FNV-1a over every cell's bytes in (row, col) order.
 uint64_t HashCells(const Matrix& m) {
   uint64_t hash = Fnv1a64(nullptr, 0);
   for (size_t r = 0; r < m.rows(); ++r) {
